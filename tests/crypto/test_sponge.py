@@ -7,6 +7,54 @@ from repro.crypto.mac import constant_time_equal, mac
 from repro.crypto.sponge import DIGEST_SIZE, SpongeHash, sponge_hash
 from repro.crypto.tokens import NONCE_SIZE, NonceSource, session_token
 
+#: Known answers, recorded from the original list-based permutation:
+#: ``sponge_hash(CYCLE[:n])`` for each length ``n``.
+CYCLE = bytes(range(256)) * 7
+SPONGE_KAT = {
+    0: "46bfda69a653d17b13f89e6542159b60",
+    1: "d9991b2a380a6721a259f2f2e84e50b7",
+    2: "5a8ff8e1f6ec68ed0223407ba431232f",
+    3: "b8d9b38b0271756fe612003b059623d3",
+    4: "39cf793b8d8ac26ce90ba20bb3ba7a6a",
+    5: "c7a6b123b113284f04e9b411bf8bf560",
+    6: "9e74b87e5cd721e1dfbd7e4e74ae375c",
+    7: "55eb963540196c9777f98546fa4d3d6a",
+    8: "9af2c2f5be9793e4c596ae5d34c6449a",
+    9: "98df3da508f00e3e97a0d521ebcaf331",
+    10: "d664401142f0c268c07756de12246c33",
+    11: "030e1b5e018b7c52b6a161d28a9fc90b",
+    12: "3a5b3237cc095aaa3cdb75e5074bb26b",
+    13: "51fb0d9fd2808a5e8572a5748f8233c4",
+    14: "5ecea58bced9fce920e736effacb24cb",
+    15: "8f3b104f06ed10c43e95cc2a485fa558",
+    16: "30228f6490b84e940acf3126bfac7c78",
+    17: "aec165a20f274bf271543f501b1042db",
+    63: "ac942cd59b74ed6bf464e3decd3adbd1",
+    64: "a61edef7949deb4cabd827c56dae76d2",
+    65: "71f11acec1062e17c0b3195d86f27a0b",
+    1600: "51cf992ed195a14debd5765cc673af56",
+}
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("length", sorted(SPONGE_KAT))
+    def test_sponge_hash(self, length):
+        assert sponge_hash(CYCLE[:length]).hex() == SPONGE_KAT[length]
+
+    def test_mac(self):
+        tag = mac(bytes(range(0x40, 0x50)), b"TrustLite attestation")
+        assert tag.hex() == "19daf9758f08e562efa465073c890743"
+
+    def test_session_token(self):
+        token = session_token(b"A", b"B", b"nonce-A!", b"nonce-B!")
+        assert token.hex() == "89588278aec54b96ded7e93a746c1aa6"
+
+    def test_nonces(self):
+        source = NonceSource(1)
+        assert [source.next_nonce().hex() for _ in range(3)] == [
+            "724d3fbfbf1c3fd2", "cf0713ee6e05f17d", "e1f9d99c3f579819",
+        ]
+
 
 class TestSponge:
     def test_digest_size(self):
@@ -34,6 +82,24 @@ class TestSponge:
         hasher.digest()
         with pytest.raises(ValueError):
             hasher.update(b"y")
+        with pytest.raises(ValueError):
+            hasher.update(b"")
+
+    @pytest.mark.parametrize("buffered", [b"", b"abc"])
+    @pytest.mark.parametrize("bad", [5, "text", None])
+    def test_update_rejects_non_bytes(self, buffered, bad):
+        # ``bytes(5)`` would quietly absorb five zero bytes instead.
+        hasher = SpongeHash().update(buffered)
+        with pytest.raises(TypeError):
+            hasher.update(bad)
+        assert hasher.digest() == sponge_hash(buffered)
+
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_update_accepts_bytes_like(self, wrap):
+        data = CYCLE[:29]
+        hasher = SpongeHash().update(wrap(data[:3])).update(wrap(data[3:]))
+        assert hasher.digest() == sponge_hash(data)
+        assert sponge_hash(memoryview(CYCLE)[5:70]) == sponge_hash(CYCLE[5:70])
 
     def test_hexdigest(self):
         assert SpongeHash().update(b"x").hexdigest() == \
@@ -43,12 +109,17 @@ class TestSponge:
     def test_property_length_always_16(self, data):
         assert len(sponge_hash(data)) == DIGEST_SIZE
 
-    @given(st.binary(max_size=100), st.integers(min_value=0, max_value=99))
-    def test_property_split_invariance(self, data, split):
-        """Absorbing in any two chunks matches one-shot hashing."""
-        split = min(split, len(data))
-        parts = SpongeHash().update(data[:split]).update(data[split:])
-        assert parts.digest() == sponge_hash(data)
+    @given(st.binary(max_size=100),
+           st.lists(st.integers(min_value=0, max_value=100), max_size=12))
+    def test_property_split_invariance(self, data, cuts):
+        """Absorbing in any number of chunks, empty ones included,
+        matches one-shot hashing."""
+        hasher = SpongeHash()
+        start = 0
+        for end in sorted(min(cut, len(data)) for cut in cuts) + [len(data)]:
+            hasher.update(data[start:end])
+            start = end
+        assert hasher.digest() == sponge_hash(data)
 
     @given(st.binary(min_size=1, max_size=64))
     def test_property_padding_no_trivial_extension_collision(self, data):
