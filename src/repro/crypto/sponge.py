@@ -6,9 +6,17 @@ ChaCha-style quarter-rounds with distinct round constants — chosen for
 clear, dependency-free Python rather than for cryptanalytic strength
 (see the package docstring).  Padding is the standard pad10*1 sponge
 padding at byte granularity (0x80 ... 0x01, or 0x81 for a single byte).
+
+A round XORs a constant into s0, runs quarter-rounds (0,1,2,3) and
+(4,5,6,7), then (0,5,2,7) and (4,1,6,3).  One int runs each disjoint pair
+as lanes in bits 0-31 and 64-95: A=(s0,s4) B=(s1,s5) C=(s2,s6) D=(s3,s7).
+Carries land in guard bits that the mask clears before a right shift can
+reach them; swapping B's and D's lanes turns columns into diagonals.
 """
 
 from __future__ import annotations
+
+import struct
 
 DIGEST_SIZE = 16
 RATE = 8
@@ -16,6 +24,7 @@ STATE_WORDS = 8
 ROUNDS = 12
 
 _MASK = 0xFFFF_FFFF
+_LANES = _MASK | _MASK << 64
 
 # Round constants: first 32 bits of the fractional parts of sqrt of the
 # first primes (the SHA-2 trick), precomputed so the module has no
@@ -27,74 +36,65 @@ _ROUND_CONSTANTS = (
 )
 
 
-def _rotl(value: int, amount: int) -> int:
-    value &= _MASK
-    return ((value << amount) | (value >> (32 - amount))) & _MASK
-
-
-def _quarter_round(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] = _rotl(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] = _rotl(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK
-    state[d] = _rotl(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK
-    state[b] = _rotl(state[b] ^ state[c], 7)
-
-
-def _permute(state: list[int]) -> None:
-    for round_index in range(ROUNDS):
-        state[0] ^= _ROUND_CONSTANTS[round_index]
-        _quarter_round(state, 0, 1, 2, 3)
-        _quarter_round(state, 4, 5, 6, 7)
-        _quarter_round(state, 0, 5, 2, 7)
-        _quarter_round(state, 4, 1, 6, 3)
+def _absorb(state: tuple, blocks) -> tuple:
+    """XOR each block's word pair into (s0, s1), then permute."""
+    a, b, c, d = state
+    mask, lanes = _MASK, _LANES
+    for w0, w1 in blocks:
+        a ^= w0
+        b ^= w1
+        for constant in _ROUND_CONSTANTS:
+            a ^= constant
+            for _ in (0, 1):  # columns, swap, diagonals, swap back
+                a = (a + b) & lanes
+                d = ((x := d ^ a) << 16 | x >> 16) & lanes
+                c = (c + d) & lanes
+                b = ((x := b ^ c) << 12 | x >> 20) & lanes
+                a = (a + b) & lanes
+                d = ((x := d ^ a) << 8 | x >> 24) & lanes
+                c = (c + d) & lanes
+                b = ((x := b ^ c) << 7 | x >> 25) & lanes
+                b = (b & mask) << 64 | b >> 64
+                d = (d & mask) << 64 | d >> 64
+    return a, b, c, d
 
 
 class SpongeHash:
     """Incremental sponge hash (absorb bytes, squeeze a 128-bit digest)."""
 
     def __init__(self) -> None:
-        self._state = [0] * STATE_WORDS
-        self._buffer = bytearray()
+        self._state = (0, 0, 0, 0)
+        self._buffer = b""
         self._finalized: bytes | None = None
 
-    def update(self, data: bytes) -> "SpongeHash":
+    def update(self, data: bytes | bytearray | memoryview) -> "SpongeHash":
         """Absorb ``data``; chainable.  Rejects use after finalization."""
         if self._finalized is not None:
             raise ValueError("cannot update a finalized hash")
-        self._buffer.extend(data)
-        while len(self._buffer) >= RATE:
-            self._absorb_block(bytes(self._buffer[:RATE]))
-            del self._buffer[:RATE]
+        # TypeError unless bytes-like; ``bytes(5)`` would give 5 zeros.
+        data = self._buffer + data
+        full = len(data) - len(data) % RATE
+        if full:
+            # Lazily, so a large input never becomes one big tuple.
+            blocks = struct.iter_unpack("<2I", memoryview(data)[:full])
+            self._state = _absorb(self._state, blocks)
+        self._buffer = data[full:]
         return self
-
-    def _absorb_block(self, block: bytes) -> None:
-        assert len(block) == RATE
-        self._state[0] ^= int.from_bytes(block[0:4], "little")
-        self._state[1] ^= int.from_bytes(block[4:8], "little")
-        _permute(self._state)
 
     def digest(self) -> bytes:
         """Finalize (idempotent) and return the 16-byte digest."""
         if self._finalized is None:
-            block = bytearray(self._buffer)
-            if len(block) == RATE - 1:
-                block.append(0x81)
+            tail = self._buffer
+            if len(tail) == RATE - 1:
+                block = tail + b"\x81"
             else:
-                block.append(0x80)
-                while len(block) < RATE - 1:
-                    block.append(0x00)
-                block.append(0x01)
-            self._absorb_block(bytes(block))
-            self._buffer.clear()
-            out = bytearray()
-            while len(out) < DIGEST_SIZE:
-                out += self._state[0].to_bytes(4, "little")
-                out += self._state[1].to_bytes(4, "little")
-                _permute(self._state)
-            self._finalized = bytes(out[:DIGEST_SIZE])
+                block = tail + b"\x80" + bytes(RATE - 2 - len(tail)) + b"\x01"
+            # Squeeze (s0, s1) twice, one permutation apart; nothing
+            # reads the state after the second, so it is not permuted.
+            first = _absorb(self._state, struct.iter_unpack("<2I", block))
+            second = _absorb(first, ((0, 0),))
+            words = (first[0], first[1], second[0], second[1])
+            self._finalized = struct.pack("<4I", *(w & _MASK for w in words))
         return self._finalized
 
     def hexdigest(self) -> str:
