@@ -72,6 +72,14 @@ def build_two_counter_image(
     return builder.build()
 
 
+def build_idle_image(*, timer_period: int = 400):
+    """The kernel alone: it arms the timer and idles in ``jmp idle``,
+    taking a scheduler tick every ``timer_period`` cycles."""
+    builder = ImageBuilder()
+    builder.add_module(os_module(timer_period=timer_period))
+    return builder.build()
+
+
 def build_ipc_image(*, timer_period: int = 600):
     """OS + sender/receiver pair: trustlet-to-trustlet IPC workload."""
     builder = ImageBuilder()
