@@ -129,13 +129,6 @@ def test_service_load():
     assert steady == _canonical(
         run_service(_config({}), workers=other_workers)
     ), "report changed with worker count"
-    # And across execution engines: serving the steady scenario off
-    # trace-tier devices must produce the identical report.
-    trace_report = run_service(_config({}), workers=WORKERS, engine="trace")
-    assert trace_report["execution"]["engine"] == "trace"
-    assert steady == _canonical(trace_report), (
-        "report changed with trace engine"
-    )
 
     # Host-core evidence (affinity/quota aware, ``REPRO_HOST_CORES``
     # overridable): quotes/sec from a quota-capped runner must not
@@ -160,8 +153,8 @@ def test_service_load():
         "  latency percentiles in simulated cycles; q/s is wall clock"
     )
     lines.append(
-        "  determinism: steady report byte-identical across reruns, "
-        "worker counts and the fast vs trace execution engines"
+        "  determinism: steady report byte-identical across reruns "
+        "and worker counts"
     )
     write_artifact("service_load.txt", "\n".join(lines))
 
@@ -176,7 +169,6 @@ def test_service_load():
             "host_cores": cores["usable"],
             "host_cores_evidence": cores,
             "deterministic_across_workers": True,
-            "deterministic_fast_vs_trace_engine": True,
             "workloads": workloads,
         },
     )

@@ -256,7 +256,6 @@ def _cmd_serve(args) -> int:
     report = run_service(
         config,
         workers=args.workers,
-        engine=args.engine,
         reuse_pool=not args.no_pool_reuse,
     )
     if args.json:
@@ -412,8 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size shards from measured per-device "
                             "cost instead of --shard-size")
     fleet.add_argument("--engine", choices=("fast", "reference", "trace"),
-                       default="fast",
-                       help="execution engine for hydrated clones")
+                       default="trace",
+                       help="execution engine for hydrated clones "
+                            "(default: trace; every engine gives the "
+                            "identical report)")
     fleet.add_argument("--no-shared-blob", action="store_true",
                        help="pickle the golden blob into every shard "
                             "task instead of shipping it once via "
@@ -473,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pipeline", type=int, default=2,
                        help="modeled verifier pipeline lanes (part of "
                             "the simulation, changes the report)")
-    serve.add_argument("--engine", choices=("fast", "reference", "trace"),
-                       default="fast",
-                       help="execution engine for hydrated devices")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for the quote checks "
                             "(wall clock only; the report is identical "

@@ -73,17 +73,19 @@ class ExecutionPlan:
     ``workers`` is the process count, ``shard_size`` the devices per
     shard (``None`` asks :func:`repro.fleet.pool.adaptive_shard_size`
     to size shards from measured per-device cost), ``engine`` the
-    execution engine of the hydrated clones.  ``share_blob`` ships the
-    golden blob once via shared memory instead of pickling it into
-    every shard task; ``reuse_pool`` draws workers from the persistent
-    warm-pool registry.  None of these may change verdicts or
-    aggregated metrics — the determinism tests hold the plan's knobs
-    against each other.
+    execution engine of the hydrated clones (the trace tier by
+    default: it batches the kernel's idle spin between rounds, and a
+    clone that never steps a guest never builds a trace engine).
+    ``share_blob`` ships the golden blob once via shared memory
+    instead of pickling it into every shard task; ``reuse_pool`` draws
+    workers from the persistent warm-pool registry.  None of these may
+    change verdicts or aggregated metrics — the determinism tests hold
+    the plan's knobs against each other.
     """
 
     workers: int = 1
     shard_size: int | None = DEFAULT_SHARD_SIZE
-    engine: str = ENGINE_FAST
+    engine: str = ENGINE_TRACE
     share_blob: bool = True
     reuse_pool: bool = True
 
@@ -219,8 +221,7 @@ def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
         decode_stats = cpu.fastpath.decode_cache.stats
         decode_hits = decode_stats["hits"]
         decode_misses = decode_stats["misses"]
-        if cpu.fastpath.traces is not None:
-            trace_stats = cpu.fastpath.traces.stats
+        trace_stats = cpu.fastpath.trace_stats
     metrics.counter("fleet_decode_cache_hits").inc(decode_hits)
     metrics.counter("fleet_decode_cache_misses").inc(decode_misses)
     if trace_stats is not None:

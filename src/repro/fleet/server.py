@@ -64,11 +64,9 @@ from repro.fleet.loadgen import (
 )
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.parallel import (
-    ENGINE_FAST,
     QuoteCheckBatch,
     _cached_image,
     _cached_snapshot,
-    engine_kwargs,
     verify_quote_batch,
 )
 from repro.fleet.pool import discard_warm_pool, get_warm_pool
@@ -218,7 +216,6 @@ class AttestationService:
         config: ServiceConfig,
         *,
         workers: int = 1,
-        engine: str = ENGINE_FAST,
         on_snapshot=None,
         reuse_pool: bool = True,
     ) -> None:
@@ -226,13 +223,6 @@ class AttestationService:
             raise FleetError(f"workers must be >= 1: {workers}")
         self.config = config
         self.workers = workers
-        # Execution-engine choice is, like the worker count, kept out
-        # of the frozen ServiceConfig: engines are architecturally
-        # identical, so it may change how fast the report is produced,
-        # never what it says.  Validated (and mapped to platform
-        # kwargs) up front so a typo fails before the golden boot.
-        self.engine = engine
-        self._engine_kwargs = engine_kwargs(engine)
         self.reuse_pool = reuse_pool
         self.on_snapshot = on_snapshot
         self.metrics = MetricsRegistry()
@@ -294,7 +284,9 @@ class AttestationService:
         keys = dict(self._prepared.keys)
         devices: dict[int, FleetDevice] = {}
         for device_id in range(config.devices):
-            platform = snapshot.clone(**self._engine_kwargs)
+            # The service only quotes its devices, never steps them,
+            # so the execution engine of the clones is moot.
+            platform = snapshot.clone()
             platform.image = image
             platform.soc.crypto.set_key(keys[device_id])
             tracer = (
@@ -676,7 +668,6 @@ class AttestationService:
             "metrics": self.metrics.to_dict(),
             "execution": {
                 "workers": self.workers,
-                "engine": self.engine,
                 "recovery": self.recovery.to_dict(),
             },
         }
@@ -686,7 +677,6 @@ def run_service(
     config: ServiceConfig,
     *,
     workers: int = 1,
-    engine: str = ENGINE_FAST,
     on_snapshot=None,
     reuse_pool: bool = True,
 ) -> dict:
@@ -695,7 +685,6 @@ def run_service(
         AttestationService(
             config,
             workers=workers,
-            engine=engine,
             on_snapshot=on_snapshot,
             reuse_pool=reuse_pool,
         ).run()
@@ -737,11 +726,7 @@ def format_serve_report(report: dict) -> str:
     )
     execution = report.get("execution")
     if execution:
-        engine = execution.get("engine")
-        lines.append(
-            f"execution: {execution['workers']} worker(s)"
-            + (f", {engine} engine" if engine else "")
-        )
+        lines.append(f"execution: {execution['workers']} worker(s)")
         lines.extend(_recovery_lines(execution.get("recovery", {})))
     lines.append(f"verdict: {'OK' if report['ok'] else 'MISMATCH'}")
     return "\n".join(lines)

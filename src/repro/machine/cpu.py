@@ -136,8 +136,8 @@ class Cpu:
         if value is None:
             self._checker = None
             fp = self.fastpath
-            if fp is not None and fp.traces is not None:
-                fp.traces.flush()
+            if fp is not None and fp._traces is not None:
+                fp._traces.flush()
         elif self.fastpath is not None:
             self._checker = self.fastpath.attach_mpu(value)
         else:
@@ -296,7 +296,14 @@ class Cpu:
                 self._account(cycles)
                 return cycles
         fp = self.fastpath
-        traces = fp.traces if fp is not None else None
+        traces = fp._traces if fp is not None else None
+        if (
+            traces is None and budget is not None
+            and fp is not None and fp.trace
+        ):
+            # The first budgeted step on a trace-tier core builds its
+            # engine.
+            traces = fp.traces
         try:
             if traces is not None and budget is not None:
                 cycles = traces.dispatch(budget)
@@ -324,7 +331,7 @@ class Cpu:
             if (
                 traces is not None
                 and budget is not None
-                and self.ip < self.curr_ip
+                and self.ip <= self.curr_ip
             ):
                 traces.note_backward(self.ip)
         self._account(cycles)

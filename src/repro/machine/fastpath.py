@@ -49,6 +49,7 @@ from repro.mpu.regions import ANY_SUBJECT, Perm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.cpu import Cpu
+    from repro.machine.traces import TraceEngine
 
 # Invalidation granule: writes are filtered against 256-byte pages, so
 # a store that lands nowhere near cached code is two dict probes.
@@ -228,30 +229,44 @@ class FastPath:
         self.bus = cpu.bus
         self.decode_cache = DecodeCache()
         self.lookaside: MpuLookaside | None = None
-        if trace:
-            # Imported here: the trace engine builds on this module.
-            from repro.machine.traces import TraceEngine
-
-            self.traces: "TraceEngine | None" = TraceEngine(self)
-        else:
-            self.traces = None
+        # The trace engine is built on first use (the CPU's first
+        # budgeted step): a trace-tier core that is never run, like a
+        # fleet clone that is only attested, pays nothing for it.
+        self.trace = trace
+        self._traces: "TraceEngine | None" = None
         self.bus.add_write_listener(self._on_bus_write)
         self.bus.add_topology_listener(self._on_topology_change)
         self._sync_memory_hooks()
+
+    @property
+    def traces(self) -> "TraceEngine | None":
+        """The trace engine (built here if needed); ``None`` when the
+        trace tier is off."""
+        if self._traces is None and self.trace:
+            # Imported here: the trace engine builds on this module.
+            from repro.machine.traces import TraceEngine
+
+            self._traces = TraceEngine(self)
+        return self._traces
+
+    @property
+    def trace_stats(self) -> dict | None:
+        """The trace engine's counters, or ``None`` if none was built."""
+        return self._traces.stats if self._traces is not None else None
 
     # -- invalidation plumbing -----------------------------------------
 
     def _on_bus_write(self, address: int, length: int) -> None:
         if self.decode_cache.entries:
             self.decode_cache.invalidate_range(address, length)
-        if self.traces is not None:
-            self.traces.invalidate_range(address, length)
+        if self._traces is not None:
+            self._traces.invalidate_range(address, length)
 
     def _on_topology_change(self) -> None:
         self._sync_memory_hooks()
-        if self.traces is not None:
+        if self._traces is not None:
             # Traces bake RAM-window bounds into their store guards.
-            self.traces.flush()
+            self._traces.flush()
 
     def _sync_memory_hooks(self) -> None:
         """Watch host-side mutation of every RAM-backed window.
@@ -276,10 +291,10 @@ class FastPath:
 
     def attach_mpu(self, mpu):
         """Build a checker for ``mpu``; lookaside when it supports one."""
-        if self.traces is not None:
+        if self._traces is not None:
             # Recorded traces bake the old MPU's masks and decision
             # memo; a new protection hook invalidates all of that.
-            self.traces.flush()
+            self._traces.flush()
         if getattr(mpu, "supports_lookaside", False):
             self.lookaside = MpuLookaside(mpu)
             return self.lookaside.check

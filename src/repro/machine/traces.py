@@ -6,10 +6,11 @@ dispatch, cycle accounting, device tick — per instruction.  This module
 adds the next tier: a recording trace engine over the decode-cache
 plumbing.
 
-* **Hot detection** — every backward control transfer observed by the
-  CPU (loop-closing branches by construction) bumps a per-target
-  counter; past ``HOT_THRESHOLD`` the engine statically walks the code
-  from that target.
+* **Hot detection** — every budgeted step whose next ``ip`` is at or
+  below the instruction it retired (a loop-closing branch, including a
+  one-instruction ``jmp .`` spin such as the kernel's idle loop) bumps
+  a per-target counter; past ``HOT_THRESHOLD`` the engine statically
+  walks the code from that target.
 * **Recording** — the walk decodes straight-line code until it finds
   the branch that closes the loop back to the head.  Conditional
   branches elsewhere become *side exits*; calls, returns, indirect
@@ -527,7 +528,8 @@ class TraceEngine:
     # -- hot detection --------------------------------------------------
 
     def note_backward(self, target: int) -> None:
-        """Called by the CPU after every backward control transfer."""
+        """Called by the CPU after a budgeted step lands at or below
+        the instruction it retired: a backward branch or a self-loop."""
         if target in self._traces or target in self._blacklist:
             return
         count = self._hot.get(target, 0) + 1

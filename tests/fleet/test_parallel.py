@@ -22,7 +22,7 @@ class TestExecutionPlan:
         plan = ExecutionPlan()
         assert plan.workers == 1
         assert plan.shard_size == 16
-        assert plan.engine == "fast"
+        assert plan.engine == "trace"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -190,7 +190,7 @@ class TestShardedRuns:
         assert execution["workers"] == 1
         assert execution["shard_size"] == 16
         assert execution["shards"] == 1
-        assert execution["engine"] == "fast"
+        assert execution["engine"] == "trace"
         # An undisturbed run performs no recovery at all.
         assert execution["recovery"]["recoveries"] == 0
         assert execution["recovery"]["degraded"] == 0
@@ -210,6 +210,31 @@ class TestPerfCounters:
         assert counters["fleet_lookaside_hits"] > 0
         assert counters["fleet_bus_memo_hits"] > 0
         assert counters["fleet_trace_dropped"] == 0
+
+    def test_default_engine_traces_the_idle_spin(self):
+        """Between rounds the kernel mostly idles in a ``jmp .`` spin;
+        the default engine runs it as a trace."""
+        config = FleetConfig(
+            devices=2, seed=2, compromise=0, step_cycles=20_000,
+        )
+        report = run_fleet(config)
+        counters = report["metrics"]["counters"]
+        assert report["execution"]["engine"] == "trace"
+        assert counters["fleet_trace_instructions"] > 0
+        fast = run_fleet(config, ExecutionPlan(engine="fast"))
+        for section in ("execution", "metrics"):
+            report.pop(section)
+            fast.pop(section)
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            fast, sort_keys=True
+        )
+
+    def test_unstepped_clones_build_no_trace_engine(self):
+        """Attest-only clones never take a budgeted step, so the trace
+        tier costs them nothing: no engine, hence no trace counters."""
+        report = run_fleet(FleetConfig(devices=2, seed=2, step_cycles=0))
+        assert report["execution"]["engine"] == "trace"
+        assert "fleet_trace_runs" not in report["metrics"]["counters"]
 
     def test_reference_engine_reports_zero_decode_hits(self):
         config = FleetConfig(

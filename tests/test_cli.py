@@ -64,7 +64,7 @@ class TestCommands:
         assert report["lint"]["fingerprints"]["image"]
         assert report["rounds"][0]["healthy"] == 3
         assert report["execution"]["workers"] == 1
-        assert report["execution"]["engine"] == "fast"
+        assert report["execution"]["engine"] == "trace"
 
     def test_fleet_bad_compromise_is_usage_error(self, capsys):
         assert main([
