@@ -72,11 +72,14 @@ def build_two_counter_image(
     return builder.build()
 
 
-def build_idle_image(*, timer_period: int = 400):
+def build_idle_image(*, timer_period: int = 400, watchdog_period: int = 0):
     """The kernel alone: it arms the timer and idles in ``jmp idle``,
-    taking a scheduler tick every ``timer_period`` cycles."""
+    taking a scheduler tick every ``timer_period`` cycles (and a
+    watchdog NMI every ``watchdog_period`` cycles if that is > 0)."""
     builder = ImageBuilder()
-    builder.add_module(os_module(timer_period=timer_period))
+    builder.add_module(
+        os_module(timer_period=timer_period, watchdog_period=watchdog_period)
+    )
     return builder.build()
 
 
