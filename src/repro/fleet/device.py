@@ -58,6 +58,10 @@ class FleetDevice:
         self.replays_rejected = 0
         self.challenges_answered = 0
         self.tampered_modules: list[str] = []
+        # Instructions the guest retired under step_cycles: identical
+        # on every engine tier, so fleet reports can express traced
+        # instructions as a share of the guest's work.
+        self.guest_instructions = 0
         # Optional per-device execution tracer; when attached, its ring
         # buffer health (``dropped``) is surfaced in the fleet metrics.
         self.tracer = tracer
@@ -119,7 +123,11 @@ class FleetDevice:
 
     def step_cycles(self, cycles: int) -> int:
         """Run the guest between rounds (fleet devices keep working)."""
-        return self.platform.run(max_cycles=cycles)
+        cpu = self.platform.cpu
+        retired = cpu.instructions_retired
+        used = self.platform.run(max_cycles=cycles)
+        self.guest_instructions += cpu.instructions_retired - retired
+        return used
 
     def tamper_code(self, module: str | None = None) -> str:
         """Flip one code byte post-boot (host-side attack injection).

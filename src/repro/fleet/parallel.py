@@ -209,9 +209,11 @@ def _cached_image(name: str):
 def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
     """Fold one device's engine/tracer counters into ``metrics``.
 
-    Surfaces the PR 3 fast-path observability (decode cache, EA-MPU
-    lookaside, bus routing memo) plus tracer ring-buffer drops at
-    fleet level, so per-shard perf is visible in every report.
+    Surfaces the instructions the guest retired while stepping (the
+    same on every engine), the fast-path observability (decode cache,
+    EA-MPU lookaside, bus routing memo, trace tier) and tracer
+    ring-buffer drops at fleet level, so per-shard perf is visible in
+    every report.
     """
     platform = device.platform
     cpu = platform.cpu
@@ -222,6 +224,7 @@ def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
         decode_hits = decode_stats["hits"]
         decode_misses = decode_stats["misses"]
         trace_stats = cpu.fastpath.trace_stats
+    metrics.counter("fleet_guest_instructions").inc(device.guest_instructions)
     metrics.counter("fleet_decode_cache_hits").inc(decode_hits)
     metrics.counter("fleet_decode_cache_misses").inc(decode_misses)
     if trace_stats is not None:

@@ -267,6 +267,19 @@ class Bus:
             position += span
             remaining -= span
 
+    def ram_read_windows(self) -> tuple[tuple[int, int], ...]:
+        """``(base, end)`` of every short-circuited memory window.
+
+        A load inside one of these windows (RAM, PROM) has no side
+        effect and does not depend on device time; the trace engine
+        bakes these bounds into its load guards.
+        """
+        return tuple(
+            (self._bases[i], self._ends[i])
+            for i in range(len(self._bases))
+            if self._ram_data[i] is not None
+        )
+
     def ram_write_windows(self) -> tuple[tuple[int, int], ...]:
         """``(base, end)`` of every short-circuited writable RAM window.
 

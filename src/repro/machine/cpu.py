@@ -287,6 +287,8 @@ class Cpu:
         """
         if self.halted:
             return 0
+        fp = self.fastpath
+        traces = fp._traces if fp is not None else None
         engine = self.exception_engine
         if engine is not None:
             pending = self.irq.pending(ie=self.flags.ie)
@@ -294,9 +296,9 @@ class Cpu:
                 self.irq.acknowledge(pending.line)
                 cycles = engine.deliver_interrupt(self, pending)
                 self._account(cycles)
+                if traces is not None and budget is not None:
+                    traces.note_entry(self.ip)
                 return cycles
-        fp = self.fastpath
-        traces = fp._traces if fp is not None else None
         if (
             traces is None and budget is not None
             and fp is not None and fp.trace
@@ -309,6 +311,7 @@ class Cpu:
                 cycles = traces.dispatch(budget)
                 if cycles is not None:
                     self._account(cycles)
+                    traces.note_entry(self.ip)
                     return cycles
             if fp is not None:
                 instr, length, cost = fp.fetch()
@@ -331,9 +334,9 @@ class Cpu:
             if (
                 traces is not None
                 and budget is not None
-                and self.ip <= self.curr_ip
+                and self.ip != self.curr_ip + length
             ):
-                traces.note_backward(self.ip)
+                traces.note_entry(self.ip)
         self._account(cycles)
         return cycles
 

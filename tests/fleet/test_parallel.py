@@ -229,12 +229,37 @@ class TestPerfCounters:
             fast, sort_keys=True
         )
 
+    def test_guest_instructions_match_on_every_engine_and_plan(self):
+        """``fleet_guest_instructions`` counts architectural work, so
+        every engine tier and worker count reports the same number,
+        and the traced share of it is a plain ratio."""
+        config = FleetConfig(
+            devices=4, seed=2, compromise=0, step_cycles=20_000,
+        )
+        plans = (
+            ExecutionPlan(),
+            ExecutionPlan(engine="fast"),
+            ExecutionPlan(engine="reference"),
+            ExecutionPlan(workers=2, shard_size=2),
+        )
+        counters = [
+            run_fleet(config, plan)["metrics"]["counters"] for plan in plans
+        ]
+        guest = {c["fleet_guest_instructions"] for c in counters}
+        assert len(guest) == 1
+        total = guest.pop()
+        assert total > 0
+        traced = counters[0]["fleet_trace_instructions"]
+        assert 0 < traced <= total
+
     def test_unstepped_clones_build_no_trace_engine(self):
         """Attest-only clones never take a budgeted step, so the trace
         tier costs them nothing: no engine, hence no trace counters."""
         report = run_fleet(FleetConfig(devices=2, seed=2, step_cycles=0))
         assert report["execution"]["engine"] == "trace"
-        assert "fleet_trace_runs" not in report["metrics"]["counters"]
+        counters = report["metrics"]["counters"]
+        assert "fleet_trace_runs" not in counters
+        assert counters["fleet_guest_instructions"] == 0
 
     def test_reference_engine_reports_zero_decode_hits(self):
         config = FleetConfig(
