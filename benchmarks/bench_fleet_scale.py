@@ -28,10 +28,13 @@ not guessed at.
 
 The **large** configuration provisions ``FLEET_SCALE_LARGE_DEVICES``
 devices (default 10000) in one adaptive-shard shared-memory run and
-reports devices/sec as the headline.  Device states are lazy
-zero-page-shared snapshots — the ~1.4 MB/device hydrated platforms
-exist only transiently inside each shard — so six-figure fleets fit in
-RAM.  Set the knob to 0 to skip it.
+reports devices/sec as the headline, plus the peak RSS of any worker
+process (``worker_peak_rss_mb``).  Clones are copy-on-first-write:
+their memories share the golden snapshot's bytes and the zero image,
+so an attest-only clone owns a few KB of host memory rather than its
+~1.4 MB of simulated memory, and only a tampered PROM is copied.
+Worker RSS therefore stays flat across shard sizes and six-figure
+fleets fit in RAM.  Set the knob to 0 to skip it.
 
 Scale knobs (so CI smoke runs stay quick):
 
@@ -45,6 +48,7 @@ Scale knobs (so CI smoke runs stay quick):
 
 import json
 import os
+import resource
 import time
 
 from benchmarks._util import (
@@ -52,7 +56,13 @@ from benchmarks._util import (
     write_artifact,
     write_bench_json,
 )
-from repro.fleet import ExecutionPlan, FleetConfig, execute_run, prepare_run
+from repro.fleet import (
+    ExecutionPlan,
+    FleetConfig,
+    execute_run,
+    prepare_run,
+    shutdown_warm_pools,
+)
 
 DEVICES = int(os.environ.get("FLEET_SCALE_DEVICES", "64"))
 ROUNDS = int(os.environ.get("FLEET_SCALE_ROUNDS", "1"))
@@ -236,7 +246,8 @@ def test_fleet_scale():
             f"{large['workers']} worker(s), {large['shards']} "
             f"adaptive shard(s) of <= {large['shard_size']}, "
             f"{large['seconds']:.1f}s — "
-            f"{large['devices_per_sec']:.1f} devices/s"
+            f"{large['devices_per_sec']:.1f} devices/s, worker peak "
+            f"RSS {large['worker_peak_rss_mb']:.1f} MB"
         )
     write_artifact("fleet_scale.txt", "\n".join(lines))
 
@@ -274,10 +285,16 @@ def _run_large(cores: dict) -> dict | None:
 
     One configuration, sized by ``FLEET_SCALE_LARGE_DEVICES``: shared
     blob, warm pool, adaptive shards, no guest stepping — pure
-    hydrate-attest-merge throughput.  Clone states are zero-page
-    placeholders until a shard hydrates them, and each worker holds at
-    most one shard's platforms at a time, so peak RAM is
-    O(shard_size x clone), never O(fleet).
+    hydrate-attest-merge throughput.  Each worker holds at most one
+    shard's platforms at a time, and an attest-only clone shares its
+    memories with the golden snapshot, so worker RSS does not grow
+    with the shard size.
+
+    ``worker_peak_rss_mb`` is ``RUSAGE_CHILDREN``'s ``ru_maxrss`` read
+    after the warm pools are shut down (and their workers reaped): the
+    largest peak of any worker this process started, the earlier
+    timed runs' workers included, so it bounds the large run's workers
+    from above.
     """
     if LARGE_DEVICES < 1:
         return None
@@ -292,6 +309,9 @@ def _run_large(cores: dict) -> dict | None:
     assert report["ok"] is True
     execution = report["execution"]
     assert execution["shared_blob"] is True
+    shutdown_warm_pools()
+    # ru_maxrss is in KiB on Linux.
+    peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return {
         "devices": LARGE_DEVICES,
         "workers": workers,
@@ -299,5 +319,6 @@ def _run_large(cores: dict) -> dict | None:
         "shard_size": execution["shard_size"],
         "seconds": round(elapsed, 3),
         "devices_per_sec": round(LARGE_DEVICES / elapsed, 1),
+        "worker_peak_rss_mb": round(peak_kib / 1024, 1),
         "stages": _rounded_stages(stages),
     }

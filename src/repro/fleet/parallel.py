@@ -209,8 +209,9 @@ def _cached_image(name: str):
 def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
     """Fold one device's engine/tracer counters into ``metrics``.
 
-    Surfaces the instructions the guest retired while stepping (the
-    same on every engine), the fast-path observability (decode cache,
+    Surfaces the instructions the guest retired while stepping and
+    the bytes of memory the clone copied on first write (both the same
+    on every engine), the fast-path observability (decode cache,
     EA-MPU lookaside, bus routing memo, trace tier) and tracer
     ring-buffer drops at fleet level, so per-shard perf is visible in
     every report.
@@ -248,6 +249,12 @@ def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
     metrics.counter("fleet_bus_memo_misses").inc(routing["memo_misses"])
     metrics.counter("fleet_trace_dropped").inc(
         device.tracer.dropped if device.tracer is not None else 0
+    )
+    metrics.counter("fleet_private_memory_bytes").inc(
+        sum(
+            getattr(mapping.device, "copied_bytes", 0)
+            for mapping in platform.bus.mappings
+        )
     )
 
 

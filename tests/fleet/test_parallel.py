@@ -252,6 +252,31 @@ class TestPerfCounters:
         traced = counters[0]["fleet_trace_instructions"]
         assert 0 < traced <= total
 
+    def test_private_memory_counts_only_what_clones_copied(self):
+        """Attest-only clones copy nothing but a tampered PROM; stepped
+        clones copy what the guest writes, the same on every engine
+        and worker count."""
+        attest = FleetConfig(devices=6, seed=2, compromise=2)
+        for plan in (ExecutionPlan(), ExecutionPlan(workers=2, shard_size=3)):
+            counters = run_fleet(attest, plan)["metrics"]["counters"]
+            assert counters["fleet_private_memory_bytes"] == 2 * 128 * 1024
+        stepped = FleetConfig(
+            devices=2, seed=2, compromise=0, step_cycles=20_000,
+        )
+        copied = {
+            run_fleet(stepped, plan)["metrics"]["counters"][
+                "fleet_private_memory_bytes"
+            ]
+            for plan in (
+                ExecutionPlan(),
+                ExecutionPlan(engine="fast"),
+                ExecutionPlan(engine="reference"),
+                ExecutionPlan(workers=2, shard_size=1),
+            )
+        }
+        assert len(copied) == 1
+        assert copied.pop() > 0
+
     def test_unstepped_clones_build_no_trace_engine(self):
         """Attest-only clones never take a budgeted step, so the trace
         tier costs them nothing: no engine, hence no trace counters."""

@@ -101,7 +101,7 @@ class TestZeroPageSkip:
         platform = golden.clone()
         # Dirty a single byte in a previously all-zero DRAM page.
         dram = platform.soc.bus.device_named("dram")
-        dram._data[len(dram._data) // 2] = 0xA5
+        dram.load(dram.size // 2, b"\xa5")
         dirtied = len(encode_snapshot(Snapshot.save(platform)))
         assert baseline < dirtied <= baseline + PAGE_SIZE + 16
 
