@@ -5,7 +5,8 @@ example scales the simulator out to a fleet:
 
 1. boot ONE golden platform from the attestation image and snapshot it
    (CPU, memories, MPU region file, Trustlet Table — the lot);
-2. stamp out 32 devices by cloning the snapshot — O(memcpy) each,
+2. stamp out 32 devices by cloning the snapshot — no memory copy
+   (clones share the snapshot's bytes until they first change them),
    instead of 32 full Secure Loader boots with their word-by-word
    wipes and sponge measurements;
 3. tamper one clone's code post-boot through the PROM programming
