@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.attestation import expected_measurements
 from repro.core.trustlet_table import name_tag
-from repro.errors import FleetError
+from repro.errors import AttestationError, FleetError
 from repro.fleet.device import FleetDevice
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.transport import FaultModel, InProcessTransport
@@ -37,6 +37,17 @@ class FlakyDevice(FleetDevice):
             self._misses -= 1
             return None
         return super().handle_challenge(message)
+
+
+class RaisingDevice(FleetDevice):
+    """Raises ``error`` on every challenge (a broken endpoint)."""
+
+    def __init__(self, *args, error, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._error = error
+
+    def handle_challenge(self, message):
+        raise self._error
 
 
 def expected_rows(image):
@@ -130,6 +141,38 @@ class TestVerdicts:
         devices = {0: FleetDevice(0, snapshot.clone(), b"\x44" * 16)}
         verifier, _metrics = make_verifier(golden, devices)
         assert verifier.run_round()[0].status == COMPROMISED
+
+
+class TestDeviceErrors:
+    def test_typed_error_leaves_device_unresponsive(self, golden):
+        snapshot, _image = golden
+        devices = {
+            0: FleetDevice(0, snapshot.clone(), KEY),
+            1: RaisingDevice(
+                1, snapshot.clone(), KEY,
+                error=AttestationError("measurement crashed"),
+            ),
+            2: FleetDevice(2, snapshot.clone(), KEY),
+        }
+        verifier, metrics = make_verifier(golden, devices, max_retries=2)
+        verdicts = verifier.run_round()
+        assert verdicts[0].status == HEALTHY
+        assert verdicts[1].status == UNRESPONSIVE
+        assert verdicts[2].status == HEALTHY
+        counters = metrics.to_dict()["counters"]
+        assert counters["fleet_device_errors"] == 2 + 1
+
+    def test_untyped_error_propagates_out_of_the_round(self, golden):
+        snapshot, _image = golden
+        devices = {
+            0: FleetDevice(0, snapshot.clone(), KEY),
+            1: RaisingDevice(
+                1, snapshot.clone(), KEY, error=RuntimeError("bug")
+            ),
+        }
+        verifier, _metrics = make_verifier(golden, devices)
+        with pytest.raises(RuntimeError, match="bug"):
+            verifier.run_round()
 
 
 class TestRounds:
