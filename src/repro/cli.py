@@ -185,8 +185,6 @@ def _cmd_fleet(args) -> int:
                 None if args.adaptive_shards else args.shard_size
             ),
             engine=args.engine,
-            share_blob=not args.no_shared_blob,
-            reuse_pool=not args.no_pool_reuse,
         )
         config = FleetConfig(
             devices=args.devices,
@@ -253,11 +251,7 @@ def _cmd_serve(args) -> int:
     except FleetError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_service(
-        config,
-        workers=args.workers,
-        reuse_pool=not args.no_pool_reuse,
-    )
+    report = run_service(config, workers=args.workers)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -415,13 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution engine for hydrated clones "
                             "(default: trace; every engine gives the "
                             "identical report)")
-    fleet.add_argument("--no-shared-blob", action="store_true",
-                       help="pickle the golden blob into every shard "
-                            "task instead of shipping it once via "
-                            "shared memory (identical report)")
-    fleet.add_argument("--no-pool-reuse", action="store_true",
-                       help="build a fresh worker pool instead of "
-                            "reusing the warm one (identical report)")
     fleet.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
     fleet.set_defaults(func=_cmd_fleet)
@@ -478,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for the quote checks "
                             "(wall clock only; the report is identical "
                             "for any worker count)")
-    serve.add_argument("--no-pool-reuse", action="store_true",
-                       help="build a fresh worker pool instead of "
-                            "reusing the warm one (identical report)")
     serve.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
     serve.set_defaults(func=_cmd_serve)

@@ -49,6 +49,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
+from repro.fleet.parallel import hydrate_devices
 from repro.fleet.service import device_key
 from repro.fleet.transport import (
     FaultModel,
@@ -126,16 +127,13 @@ class ScenarioTask:
 # Scenario plumbing.
 
 
-def _hydrate(task: ScenarioTask, device_id: int) -> FleetDevice:
-    """Clone one device from the golden blob (per-process cached)."""
-    from repro.fleet.parallel import _cached_image, _cached_snapshot
-
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    platform = snapshot.clone()
-    platform.image = _cached_image("attestation")
-    key = device_key(task.seed, device_id)
-    platform.soc.crypto.set_key(key)
-    return FleetDevice(device_id, platform, key)
+def _hydrate(task: ScenarioTask, *device_ids: int) -> dict[int, FleetDevice]:
+    """Clone the scenario's devices from the golden blob."""
+    return hydrate_devices(
+        task.snapshot_blob,
+        {device_id: device_key(task.seed, device_id)
+         for device_id in device_ids},
+    )
 
 
 def _attest(
@@ -225,16 +223,17 @@ def _check_no_false_compromise(
 
 def _scenario_prom_code_flip(task, rng):
     """One bit of a trustlet's PROM code flips post-boot."""
-    tampered, clean = _hydrate(task, 0), _hydrate(task, 1)
-    image = tampered.platform.image
+    devices = _hydrate(task, 0, 1)
+    tampered = devices[0].platform
+    image = tampered.image
     modules = image.module_order[1:] or image.module_order
     module = modules[rng.randrange(len(modules))]
     lay = image.layout_of(module)
     lo = min(lay.code_base + ENTRY_VECTOR_SIZE, lay.code_end - 1)
     records = flip_memory_bits(
-        tampered.platform, rng, memory="prom", lo=lo, hi=lay.code_end
+        tampered, rng, memory="prom", lo=lo, hi=lay.code_end
     )
-    rounds, _, _ = _attest(task, {0: tampered, 1: clean})
+    rounds, _, _ = _attest(task, devices)
     detail = {"module": module, "flips": records, "rounds": rounds}
     return detail, _check_tamper(rounds, tampered=0, clean=1)
 
@@ -246,17 +245,17 @@ def _scenario_ram_table_flip(task, rng):
     measurement errors out (silence → retries → unresponsive); either
     way it must never attest healthy.
     """
-    tampered, clean = _hydrate(task, 0), _hydrate(task, 1)
-    count = tampered.platform.table.count
-    row = rng.randrange(count)
+    devices = _hydrate(task, 0, 1)
+    tampered = devices[0].platform
+    row = rng.randrange(tampered.table.count)
     offset = (
         (TRUSTLET_TABLE_BASE - SRAM_BASE)
         + HEADER_SIZE + row * ROW_SIZE + OFF_CODE_END
     )
     records = flip_memory_bits(
-        tampered.platform, rng, memory="sram", lo=offset, hi=offset + 4
+        tampered, rng, memory="sram", lo=offset, hi=offset + 4
     )
-    rounds, _, _ = _attest(task, {0: tampered, 1: clean})
+    rounds, _, _ = _attest(task, devices)
     detail = {"row": row, "flips": records, "rounds": rounds}
     return detail, _check_tamper(rounds, tampered=0, clean=1)
 
@@ -268,7 +267,7 @@ def _scenario_mpu_perm_glitch(task, rng):
     surface as counted MPU faults or a typed machine error once the
     guest runs — never as silent corruption.
     """
-    device = _hydrate(task, 0)
+    device = _hydrate(task, 0)[0]
     glitch = glitch_mpu_permissions(device.platform, rng)
     rounds, _, guest_errors = _attest(task, {0: device}, step=True)
     faults = device.platform.mpu.stats.faults
@@ -284,7 +283,7 @@ def _scenario_mpu_perm_glitch(task, rng):
 
 def _scenario_irq_storm(task, rng):
     """Spurious vectored interrupts latch while the guest runs."""
-    device = _hydrate(task, 0)
+    device = _hydrate(task, 0)[0]
     storm = inject_irq_storm(device.platform, rng, rate=0.2)
     rounds, _, guest_errors = _attest(task, {0: device}, step=True)
     violations = _check_no_false_compromise(rounds, [0])
@@ -299,7 +298,7 @@ def _scenario_irq_storm(task, rng):
 
 def _scenario_irq_drop(task, rng):
     """Raised interrupt lines are swallowed while the guest runs."""
-    device = _hydrate(task, 0)
+    device = _hydrate(task, 0)[0]
     drops = inject_irq_drops(device.platform, rng, rate=0.5)
     rounds, _, guest_errors = _attest(task, {0: device}, step=True)
     violations = _check_no_false_compromise(rounds, [0])
@@ -361,7 +360,7 @@ def _scenario_transport_partition(task, rng):
     all devices must end up healthy — a partition must cost retries,
     never a compromised verdict.
     """
-    devices = {0: _hydrate(task, 0), 1: _hydrate(task, 1)}
+    devices = _hydrate(task, 0, 1)
     window = (0, task.timeout_cycles)
     rounds, transport, _ = _attest(
         task, devices, fault_model=FaultModel(partitions=(window,))
@@ -394,7 +393,7 @@ def _scenario_transport_partition(task, rng):
 
 def _scenario_transport_flap(task, rng):
     """The link flaps up and down on a seeded schedule."""
-    devices = {0: _hydrate(task, 0), 1: _hydrate(task, 1)}
+    devices = _hydrate(task, 0, 1)
     horizon = task.timeout_cycles * (task.max_retries + 1) * task.rounds
     windows = flap_windows(
         rng,
@@ -504,11 +503,9 @@ def _scenario_ota_rollback_replay(task, rng):
     ``ContainerError`` — in both cases nothing may boot silently.
     """
     from repro.errors import ContainerError, RollbackError
-    from repro.fleet.parallel import _cached_snapshot
 
     v1, v2, root = _ota_artifacts(task.seed)
-    platform = _cached_snapshot(task.snapshot_blob).clone()
-    platform.soc.crypto.set_key(device_key(task.seed, 0))
+    platform = _hydrate(task, 0)[0].platform
     platform.boot_signed(v1, trust_root=root)
     platform.commit_firmware()
     platform.boot_signed(v2, trust_root=root)

@@ -7,15 +7,16 @@ the single-platform simulator out to a fleet:
   lossy, delayed, seed-deterministic in-process link;
 * :mod:`repro.fleet.device` — the device endpoint: live code
   re-measurement MAC'd under a per-device key, replay protection;
-* :mod:`repro.fleet.verifier` — batched challenges, a worker pool over
+* :mod:`repro.fleet.verifier` — batched challenges, one loop over the
   device endpoints, healthy/compromised/unresponsive verdicts with
   retry and timeout in simulated cycles;
 * :mod:`repro.fleet.metrics` — counters and latency histograms
   exported as JSON;
 * :mod:`repro.fleet.parallel` — the sharded executor: the fleet cut
   into worker-count-independent shards, each hydrated from the encoded
-  golden snapshot on a process pool, with an order-independent
-  streaming merge (:class:`~repro.fleet.parallel.ShardMerger`);
+  golden snapshot (:func:`~repro.fleet.parallel.hydrate_devices`) on a
+  process pool, with an order-independent streaming merge
+  (:class:`~repro.fleet.parallel.ShardMerger`);
 * :mod:`repro.fleet.shm` — the golden blob shipped once per run via
   POSIX shared memory with guaranteed unlink;
 * :mod:`repro.fleet.pool` — persistent warm worker pools and
@@ -53,7 +54,7 @@ from repro.fleet.parallel import (
     QuoteCheckBatch,
     ShardMerger,
     ShardTask,
-    merge_shard_results,
+    hydrate_devices,
     run_shard,
     run_shards,
     shard_ids,
@@ -78,7 +79,6 @@ from repro.fleet.server import (
 from repro.fleet.service import (
     FleetConfig,
     PreparedRun,
-    build_fleet,
     device_key,
     execute_run,
     format_report,
@@ -137,7 +137,6 @@ __all__ = [
     "UNRESPONSIVE",
     "adaptive_shard_size",
     "attach_ref",
-    "build_fleet",
     "build_schedule",
     "cost_model",
     "device_key",
@@ -148,7 +147,7 @@ __all__ = [
     "format_report",
     "format_serve_report",
     "get_warm_pool",
-    "merge_shard_results",
+    "hydrate_devices",
     "pool_stats",
     "prepare_run",
     "run_fleet",

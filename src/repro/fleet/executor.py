@@ -13,11 +13,11 @@ goal demands:
    terminated), a fresh pool is built, and every unfinished task is
    resubmitted — results already collected are kept.  Because tasks
    are pure functions of their inputs, a retried task returns exactly
-   the bytes the first attempt would have.  Healthy pools are *warm*
+   the bytes the first attempt would have.  Every pool is *warm*
    (:mod:`repro.fleet.pool`): acquired from a per-worker-count
    registry and left running afterwards, so successive rounds,
    ``execute_run`` calls and service batches never pay fork/import
-   spin-up again.
+   spin-up again; only a broken pool is discarded and rebuilt.
 3. **Degrade.**  When the pool keeps breaking
    (:attr:`RetryPolicy.max_pool_rebuilds` exceeded) or a single task
    keeps failing, the survivors run *in-process* — slower, but the
@@ -177,7 +177,6 @@ def run_resilient(
     policy: RetryPolicy | None = None,
     log: RecoveryLog | None = None,
     consume=None,
-    reuse_pool: bool = True,
 ) -> list | None:
     """Run ``fn`` over every task; results in task order, or raise
     :class:`ShardExecutionError`.
@@ -194,10 +193,9 @@ def run_resilient(
     return value is ``None``.  Folds must therefore be
     order-independent, which every fleet merge is by construction.
 
-    ``reuse_pool`` (default) draws the pool from the warm registry in
-    :mod:`repro.fleet.pool` and leaves it running for the next call;
-    a crashed or hung pool is discarded from the registry before the
-    rebuild, so recovery semantics are unchanged.
+    The pool comes from the warm registry in :mod:`repro.fleet.pool`
+    and stays running for the next call; a crashed or hung pool is
+    discarded from the registry before the rebuild.
     """
     if workers < 1:
         raise FleetError(f"workers must be >= 1: {workers}")
@@ -229,12 +227,7 @@ def run_resilient(
     pending: dict[int, int] = {index: 0 for index in range(len(tasks))}
     rebuilds = 0
     while pending:
-        if reuse_pool:
-            pool = get_warm_pool(workers)
-        else:
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending))
-            )
+        pool = get_warm_pool(workers)
         abandoned = False
         try:
             futures = {}
@@ -292,10 +285,7 @@ def run_resilient(
         finally:
             if abandoned:
                 _abandon_pool(pool)
-                if reuse_pool:
-                    discard_warm_pool(workers)
-            elif not reuse_pool:
-                pool.shutdown(wait=True)
+                discard_warm_pool(workers)
         if not pending:
             break
         if abandoned:

@@ -2,14 +2,12 @@
 
 A tiny Prometheus-shaped registry for the fleet verifier.  Everything
 is measured in *simulated cycles* (never wall clock), so two runs with
-the same seed export byte-identical JSON.  Counters and histograms are
-individually locked because the verifier's worker pool observes them
-from device-stepper threads.
+the same seed export byte-identical JSON.  A registry lives in one
+thread: the verifier steps its devices in a plain loop, and shard
+workers are processes that export their registries as plain data.
 """
 
 from __future__ import annotations
-
-import threading
 
 
 class Counter:
@@ -17,16 +15,10 @@ class Counter:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._value = 0
-        self._lock = threading.Lock()
+        self.value = 0
 
     def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        return self._value
+        self.value += amount
 
 
 class Histogram:
@@ -35,11 +27,9 @@ class Histogram:
     def __init__(self, name: str) -> None:
         self.name = name
         self._values: list[int] = []
-        self._lock = threading.Lock()
 
     def observe(self, value: int) -> None:
-        with self._lock:
-            self._values.append(value)
+        self._values.append(value)
 
     @property
     def count(self) -> int:
@@ -48,66 +38,28 @@ class Histogram:
     @property
     def values(self) -> list[int]:
         """A copy of every observation (raw export for shard merging)."""
-        with self._lock:
-            return list(self._values)
+        return list(self._values)
 
     def percentile(self, pct: float) -> int:
         """Nearest-rank percentile; 0 on an empty histogram."""
-        with self._lock:
-            if not self._values:
-                return 0
-            ordered = sorted(self._values)
-            rank = max(1, -(-len(ordered) * pct // 100))  # ceil
-            return ordered[int(rank) - 1]
-
-    @property
-    def p50(self) -> int:
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> int:
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> int:
-        return self.percentile(99)
-
-    def percentiles(self, pcts: tuple[float, ...] = (50, 95, 99)) -> dict:
-        """``{"p50": ..., "p95": ..., "p99": ...}`` in one sort.
-
-        One snapshot of the observations serves every requested
-        percentile, so the answers are mutually consistent even while
-        other threads keep observing.
-        """
-        with self._lock:
-            ordered = sorted(self._values)
-        result = {}
-        for pct in pcts:
-            key = f"p{pct:g}"
-            if not ordered:
-                result[key] = 0
-                continue
-            rank = max(1, -(-len(ordered) * pct // 100))  # ceil
-            result[key] = ordered[int(rank) - 1]
-        return result
+        if not self._values:
+            return 0
+        ordered = sorted(self._values)
+        rank = max(1, -(-len(ordered) * pct // 100))  # ceil
+        return ordered[int(rank) - 1]
 
     def summary(self) -> dict:
-        with self._lock:
-            values = sorted(self._values)
+        values = self._values
         if not values:
             return {"count": 0}
-
-        def rank(pct: float) -> int:
-            return values[int(max(1, -(-len(values) * pct // 100))) - 1]
-
         return {
             "count": len(values),
-            "min": values[0],
-            "max": values[-1],
+            "min": min(values),
+            "max": max(values),
             "mean": round(sum(values) / len(values), 2),
-            "p50": rank(50),
-            "p95": rank(95),
-            "p99": rank(99),
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
         }
 
 
@@ -117,19 +69,18 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._lock = threading.Lock()
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            if name not in self._counters:
-                self._counters[name] = Counter(name)
-            return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            if name not in self._histograms:
-                self._histograms[name] = Histogram(name)
-            return self._histograms[name]
+        histogram = self._histograms.get(name)
+        if histogram is None:
+            histogram = self._histograms[name] = Histogram(name)
+        return histogram
 
     def to_dict(self) -> dict:
         return {

@@ -23,9 +23,14 @@ Hard rules that make this safe and reproducible:
 * **Workers re-derive host handles.**  A decoded snapshot carries no
   ``BuiltImage``; workers rebuild it from a registered builder name
   (cached per process, like the decoded golden snapshot itself).
+* **One hydration path.**  :func:`hydrate_devices` turns the golden
+  blob into keyed, optionally tampered fleet devices; the shard
+  worker, the serving front-end and the fault and OTA campaigns all
+  build their devices through it.
 
 :func:`run_shard` is a pure function of its :class:`ShardTask`, so the
 ``workers=1`` path simply calls it inline — identical results, no pool.
+Inside a shard the verifier steps its devices in one thread.
 """
 
 from __future__ import annotations
@@ -76,18 +81,15 @@ class ExecutionPlan:
     execution engine of the hydrated clones (the trace tier by
     default: it batches the kernel's idle spin between rounds, and a
     clone that never steps a guest never builds a trace engine).
-    ``share_blob`` ships the golden blob once via shared memory
-    instead of pickling it into every shard task; ``reuse_pool`` draws
-    workers from the persistent warm-pool registry.  None of these may
-    change verdicts or aggregated metrics — the determinism tests hold
-    the plan's knobs against each other.
+    With ``workers > 1`` the golden blob ships once via shared memory
+    and the workers come from the persistent warm-pool registry.  None
+    of these may change verdicts or aggregated metrics — the
+    determinism tests hold the plan's knobs against each other.
     """
 
     workers: int = 1
     shard_size: int | None = DEFAULT_SHARD_SIZE
     engine: str = ENGINE_TRACE
-    share_blob: bool = True
-    reuse_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -114,7 +116,6 @@ class ShardTask:
 
     shard_index: int
     snapshot_blob: bytes | SharedBlobRef
-    image_name: str
     device_ids: tuple[int, ...]
     compromised: tuple[int, ...]
     keys: tuple[tuple[int, bytes], ...]
@@ -206,6 +207,41 @@ def _cached_image(name: str):
     return image
 
 
+def hydrate_devices(
+    blob,
+    keys: dict[int, bytes],
+    *,
+    compromised=(),
+    engine: str = ENGINE_FAST,
+    trace_capacity: int = 0,
+) -> dict[int, FleetDevice]:
+    """Clone one keyed :class:`FleetDevice` per ``keys`` entry.
+
+    Every device is a clone of the decoded golden snapshot for
+    ``blob`` (bytes or :class:`~repro.fleet.shm.SharedBlobRef`), on
+    the named ``engine``, with this process's copy of the attestation
+    image re-attached (the decoded snapshot carries no host handles,
+    and tampering needs the image's layouts), its crypto engine keyed
+    and, with ``trace_capacity``, a ring-buffer tracer.  The devices
+    in ``compromised`` then get their code tampered.
+    """
+    snapshot = _cached_snapshot(blob)
+    image = _cached_image("attestation")
+    clone_kwargs = engine_kwargs(engine)
+    devices: dict[int, FleetDevice] = {}
+    for device_id, key in keys.items():
+        platform = snapshot.clone(**clone_kwargs)
+        platform.image = image
+        platform.soc.crypto.set_key(key)
+        tracer = Tracer(capacity=trace_capacity) if trace_capacity else None
+        devices[device_id] = FleetDevice(
+            device_id, platform, key, tracer=tracer
+        )
+    for device_id in compromised:
+        devices[device_id].tamper_code()
+    return devices
+
+
 def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
     """Fold one device's engine/tracer counters into ``metrics``.
 
@@ -283,28 +319,14 @@ def run_shard(task: ShardTask) -> dict:
     """
     _maybe_crash_for_test(task.shard_index)
     hydrate_started = time.perf_counter()
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    image = _cached_image(task.image_name)
     keys = dict(task.keys)
-    engine = engine_kwargs(task.engine)
-    devices: dict[int, FleetDevice] = {}
-    for device_id in task.device_ids:
-        platform = snapshot.clone(**engine)
-        # The decoded snapshot carries no host handles; re-attach the
-        # worker's own copy of the built image (tampering needs its
-        # layouts).
-        platform.image = image
-        key = keys[device_id]
-        platform.soc.crypto.set_key(key)
-        tracer = (
-            Tracer(capacity=task.trace_capacity)
-            if task.trace_capacity else None
-        )
-        devices[device_id] = FleetDevice(
-            device_id, platform, key, tracer=tracer
-        )
-    for device_id in task.compromised:
-        devices[device_id].tamper_code()
+    devices = hydrate_devices(
+        task.snapshot_blob,
+        keys,
+        compromised=task.compromised,
+        engine=task.engine,
+        trace_capacity=task.trace_capacity,
+    )
     execute_started = time.perf_counter()
 
     metrics = MetricsRegistry()
@@ -319,7 +341,7 @@ def run_shard(task: ShardTask) -> dict:
     verifier = FleetVerifier(
         devices,
         transport,
-        {device_id: keys[device_id] for device_id in devices},
+        keys,
         list(task.expected_rows),
         seed=task.seed,
         timeout_cycles=task.timeout_cycles,
@@ -477,7 +499,6 @@ def run_shards(
     policy: RetryPolicy | None = None,
     recovery: RecoveryLog | None = None,
     consume=None,
-    reuse_pool: bool = True,
 ) -> list[dict] | None:
     """Execute every shard on ``workers`` processes.
 
@@ -495,8 +516,8 @@ def run_shards(
     the index) each result is streamed out in completion order and
     dropped; the return value is ``None``.  Without it, results are
     returned sorted by shard index.  ``workers=1`` runs inline (same
-    pure function, no pool).  ``reuse_pool`` keeps the worker pool
-    warm across calls.
+    pure function, no pool); otherwise the worker pool stays warm
+    across calls.
     """
     results = run_resilient(
         run_shard,
@@ -506,19 +527,8 @@ def run_shards(
         policy=policy,
         log=recovery,
         consume=consume,
-        reuse_pool=reuse_pool,
     )
     if consume is not None:
         return None
     return sorted(results, key=lambda result: result["shard"])
 
-
-def merge_shard_results(
-    results: list[dict], *, rounds: int
-) -> tuple[list[dict[int, dict]], MetricsRegistry, dict]:
-    """Batch façade over :class:`ShardMerger` (kept for callers that
-    already hold every shard result)."""
-    merger = ShardMerger(rounds=rounds)
-    for result in sorted(results, key=lambda r: r["shard"]):
-        merger.add(result)
-    return merger.finish()

@@ -44,7 +44,6 @@ exactly like the batch fleet's :class:`~repro.fleet.parallel.ExecutionPlan`.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
@@ -65,8 +64,7 @@ from repro.fleet.loadgen import (
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.parallel import (
     QuoteCheckBatch,
-    _cached_image,
-    _cached_snapshot,
+    hydrate_devices,
     verify_quote_batch,
 )
 from repro.fleet.pool import discard_warm_pool, get_warm_pool
@@ -78,7 +76,6 @@ from repro.fleet.transport import (
     Message,
 )
 from repro.machine.devices.crypto_engine import CYCLES_PER_WORD
-from repro.machine.trace import Tracer
 
 SCHEMA = "repro.serve/1"
 
@@ -217,13 +214,11 @@ class AttestationService:
         *,
         workers: int = 1,
         on_snapshot=None,
-        reuse_pool: bool = True,
     ) -> None:
         if workers < 1:
             raise FleetError(f"workers must be >= 1: {workers}")
         self.config = config
         self.workers = workers
-        self.reuse_pool = reuse_pool
         self.on_snapshot = on_snapshot
         self.metrics = MetricsRegistry()
         self.recovery = RecoveryLog()
@@ -277,28 +272,19 @@ class AttestationService:
     # ------------------------------------------------------------------
 
     def _hydrate(self) -> dict[int, FleetDevice]:
-        """Clone every device from the decoded TLSC golden snapshot."""
-        config = self.config
-        snapshot = _cached_snapshot(self._prepared.snapshot_blob)
-        image = _cached_image(self._prepared.image_name)
-        keys = dict(self._prepared.keys)
-        devices: dict[int, FleetDevice] = {}
-        for device_id in range(config.devices):
-            # The service only quotes its devices, never steps them,
-            # so the execution engine of the clones is moot.
-            platform = snapshot.clone()
-            platform.image = image
-            platform.soc.crypto.set_key(keys[device_id])
-            tracer = (
-                Tracer(capacity=config.trace_capacity)
-                if config.trace_capacity else None
-            )
-            devices[device_id] = FleetDevice(
-                device_id, platform, keys[device_id], tracer=tracer
-            )
+        """Clone every device from the decoded TLSC golden snapshot.
+
+        The service only quotes its devices, never steps them, so the
+        execution engine of the clones is moot.
+        """
+        devices = hydrate_devices(
+            self._prepared.snapshot_blob,
+            dict(self._prepared.keys),
+            compromised=self._prepared.expected_compromised,
+            trace_capacity=self.config.trace_capacity,
+        )
+        for device_id in devices:
             self.transport.register(device_id)
-        for device_id in self._prepared.expected_compromised:
-            devices[device_id].tamper_code()
         return devices
 
     def _challenge(self, arrival: Arrival) -> None:
@@ -425,8 +411,7 @@ class AttestationService:
                     self.recovery.record(
                         WORKER_CRASH, batch.batch_index, 1
                     )
-                    if self.reuse_pool:
-                        discard_warm_pool(self.workers)
+                    discard_warm_pool(self.workers)
                     dispatched.inline = verify_quote_batch(batch)
             self._inflight.append(dispatched)
 
@@ -459,8 +444,7 @@ class AttestationService:
             self.recovery.record(
                 WORKER_CRASH, dispatched.batch.batch_index, 1
             )
-            if self.reuse_pool:
-                discard_warm_pool(self.workers)
+            discard_warm_pool(self.workers)
             return verify_quote_batch(dispatched.batch)
         except Exception:
             self.recovery.record(
@@ -523,14 +507,10 @@ class AttestationService:
     async def run(self) -> dict:
         config = self.config
         loop = asyncio.get_running_loop()
-        if self.workers <= 1:
-            pool = None
-        elif self.reuse_pool:
-            # Warm pool from the shared registry: spun up at most once
-            # per process and reused across service runs and batches.
-            pool = get_warm_pool(self.workers)
-        else:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+        # Warm pool from the shared registry: spun up at most once per
+        # process and reused across service runs and batches; atexit
+        # (or discard on breakage) retires it.
+        pool = get_warm_pool(self.workers) if self.workers > 1 else None
         self._outstanding: dict[tuple[int, int], _Outstanding] = {}
         self._queue: list[_Admitted] = []
         self._lanes = [_Lane() for _ in range(config.pipeline_depth)]
@@ -543,44 +523,38 @@ class AttestationService:
         next_arrival = 0
         now = 0
         next_snapshot = config.snapshot_every_cycles
-        try:
-            while True:
-                now_end = now + config.tick_cycles
-                while (
-                    next_arrival < len(schedule)
-                    and schedule[next_arrival].cycle < now_end
-                ):
-                    self._challenge(schedule[next_arrival])
-                    next_arrival += 1
-                self._device_turns(now_end)
-                self._admit(now_end)
-                self._expire(now_end)
-                self._dispatch(now_end, loop, pool)
-                self._harvest_ready()
-                self.metrics.histogram("serve_queue_depth").observe(
-                    len(self._queue)
-                )
-                while next_snapshot <= now_end:
-                    self._snapshot(now_end)
-                    next_snapshot += config.snapshot_every_cycles
-                now = now_end
-                # Yield so pool result callbacks make progress while
-                # the simulation keeps ticking.
-                await asyncio.sleep(0)
-                if (
-                    next_arrival >= len(schedule)
-                    and now >= config.duration_cycles
-                    and not self._outstanding
-                    and not self._queue
-                    and all(lane.busy_until <= now for lane in self._lanes)
-                ):
-                    break
-            await self._drain()
-        finally:
-            if pool is not None and not self.reuse_pool:
-                pool.shutdown(wait=False, cancel_futures=False)
-            # A warm pool stays up for the next run/batch; atexit (or
-            # discard on breakage) retires it.
+        while True:
+            now_end = now + config.tick_cycles
+            while (
+                next_arrival < len(schedule)
+                and schedule[next_arrival].cycle < now_end
+            ):
+                self._challenge(schedule[next_arrival])
+                next_arrival += 1
+            self._device_turns(now_end)
+            self._admit(now_end)
+            self._expire(now_end)
+            self._dispatch(now_end, loop, pool)
+            self._harvest_ready()
+            self.metrics.histogram("serve_queue_depth").observe(
+                len(self._queue)
+            )
+            while next_snapshot <= now_end:
+                self._snapshot(now_end)
+                next_snapshot += config.snapshot_every_cycles
+            now = now_end
+            # Yield so pool result callbacks make progress while
+            # the simulation keeps ticking.
+            await asyncio.sleep(0)
+            if (
+                next_arrival >= len(schedule)
+                and now >= config.duration_cycles
+                and not self._outstanding
+                and not self._queue
+                and all(lane.busy_until <= now for lane in self._lanes)
+            ):
+                break
+        await self._drain()
         return self._report(drained_at=now)
 
     # ------------------------------------------------------------------
@@ -678,15 +652,11 @@ def run_service(
     *,
     workers: int = 1,
     on_snapshot=None,
-    reuse_pool: bool = True,
 ) -> dict:
     """Run the whole service to drain; returns the JSON-ready report."""
     return asyncio.run(
         AttestationService(
-            config,
-            workers=workers,
-            on_snapshot=on_snapshot,
-            reuse_pool=reuse_pool,
+            config, workers=workers, on_snapshot=on_snapshot
         ).run()
     )
 

@@ -35,7 +35,6 @@ from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
 from repro.errors import FleetError
-from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy
 from repro.fleet.parallel import (
     ExecutionPlan,
@@ -115,28 +114,6 @@ def device_key(seed: int, device_id: int) -> bytes:
     return mac(master, b"device:" + device_id.to_bytes(4, "little"))
 
 
-def build_fleet(
-    config: FleetConfig,
-) -> tuple[dict[int, FleetDevice], Snapshot, object]:
-    """Boot the golden image once, clone it into the fleet.
-
-    The in-process path (examples, single-host experiments).  The
-    sharded executor does the same hydration worker-side from the
-    encoded snapshot — see :func:`repro.fleet.parallel.run_shard`.
-    """
-    golden = TrustLitePlatform()
-    image = build_attestation_image()
-    golden.boot(image)
-    snapshot = Snapshot.save(golden)
-    devices: dict[int, FleetDevice] = {}
-    for device_id in range(config.devices):
-        key = device_key(config.seed, device_id)
-        platform = snapshot.clone()
-        platform.soc.crypto.set_key(key)
-        devices[device_id] = FleetDevice(device_id, platform, key)
-    return devices, snapshot, image
-
-
 @dataclass(frozen=True)
 class PreparedRun:
     """A fleet experiment reduced to plain data, ready to execute.
@@ -148,7 +125,6 @@ class PreparedRun:
 
     config: FleetConfig
     snapshot_blob: bytes
-    image_name: str
     expected_compromised: tuple[int, ...]
     keys: tuple[tuple[int, bytes], ...]
     expected_rows: tuple[tuple[int, bytes], ...]
@@ -204,7 +180,6 @@ def prepare_run(config: FleetConfig) -> PreparedRun:
     return PreparedRun(
         config=config,
         snapshot_blob=blob,
-        image_name="attestation",
         expected_compromised=expected_compromised,
         keys=keys,
         expected_rows=expected_rows,
@@ -258,7 +233,6 @@ def _shard_tasks(
             ShardTask(
                 shard_index=index,
                 snapshot_blob=blob,
-                image_name=prepared.image_name,
                 device_ids=ids,
                 compromised=tuple(
                     device_id for device_id in ids
@@ -312,33 +286,32 @@ def execute_run(
     The report carries no wall-clock fields, and the ``execution``
     section is the only part that mentions the plan or what recovery
     the self-healing executor performed — pop it and two reports from
-    different worker counts (or with and without worker crashes, or
-    shared-memory vs pickled blob shipping) compare byte for byte.
+    different worker counts (or with and without worker crashes)
+    compare byte for byte.
 
     Pass a ``stage_timings`` dict to receive the per-stage wall-clock
     breakdown (``ship_s``, ``pool_spinup_s``, ``hydrate_s``,
     ``shard_execute_s``, ``merge_s``, ``execute_wall_s``) — kept out
     of the report on purpose.
 
-    With ``plan.share_blob`` (default) and ``workers > 1`` the golden
-    blob is published into one shared-memory segment and every shard
-    task carries a tiny reference; the segment is unlinked in a
-    ``finally``, so it survives worker crashes and pool rebuilds but
-    never a completed (or failed) run.  Shard results are folded as
+    With ``workers > 1`` the golden blob is published into one
+    shared-memory segment and every shard task carries a tiny
+    reference; the segment is unlinked in a ``finally``, so it
+    survives worker crashes and pool rebuilds but never a completed
+    (or failed) run.  Shard results are folded as
     they complete (:class:`~repro.fleet.parallel.ShardMerger`), so the
     coordinator holds O(1) shard results, not O(shards).
     """
     plan = plan or ExecutionPlan()
     config = prepared.config
     shard_size = _resolve_shard_size(prepared, plan)
-    share = plan.share_blob and plan.workers > 1
     recovery = RecoveryLog()
     merger = ShardMerger(rounds=config.rounds)
     spinup_before = pool_stats().spinup_seconds
     shared = None
     try:
         ship_started = time.perf_counter()
-        if share:
+        if plan.workers > 1:
             shared = SharedBlob.create(prepared.snapshot_blob)
             blob = shared.ref
         else:
@@ -353,7 +326,6 @@ def execute_run(
             policy=policy,
             recovery=recovery,
             consume=lambda _index, result: merger.add(result),
-            reuse_pool=plan.reuse_pool,
         )
         execute_wall = time.perf_counter() - execute_started
     finally:
@@ -429,8 +401,7 @@ def execute_run(
             "shard_size": shard_size,
             "shards": len(tasks),
             "engine": plan.engine,
-            "shared_blob": share,
-            "pool_reuse": plan.reuse_pool,
+            "shared_blob": shared is not None,
             "recovery": recovery.to_dict(),
         },
     }

@@ -11,14 +11,13 @@ Time is simulated: each message is stamped ``sent_at`` and becomes
 visible to ``poll()`` only once the polling side's clock reaches
 ``deliver_at``.  A :class:`FaultModel` injects per-link loss and delay
 from a per-device ``random.Random`` stream, so a run is bit-for-bit
-reproducible for a given seed no matter how the verifier's worker
-threads are scheduled.
+reproducible for a given seed no matter in which order the devices'
+messages interleave.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 
 from repro.errors import FleetError
@@ -164,7 +163,7 @@ class InProcessTransport:
 
     Each device's link gets its own ``random.Random`` seeded from
     ``(seed, device_id)`` — the fault pattern a device experiences is a
-    pure function of the seed, independent of thread interleaving.
+    pure function of the seed, independent of how devices interleave.
     """
 
     def __init__(
@@ -175,7 +174,6 @@ class InProcessTransport:
         self._queues: dict[tuple[str, int], list[Message]] = {}
         self._rngs: dict[int, random.Random] = {}
         self.stats = TransportStats()
-        self._stats_lock = threading.Lock()
 
     def _rng(self, device_id: int) -> random.Random:
         if device_id not in self._rngs:
@@ -189,9 +187,8 @@ class InProcessTransport:
     def register(self, device_id: int) -> None:
         """Create the device's queues and fault stream up front.
 
-        Registration order fixes RNG creation order, keeping fault
-        streams deterministic even when sends happen from worker
-        threads.
+        Every stream is seeded by its own device id, so registration
+        order never changes a device's fault pattern.
         """
         self._rng(device_id)
         for endpoint in _ENDPOINTS:
@@ -218,14 +215,13 @@ class InProcessTransport:
         dropped, delay = self.fault_model.roll(self._rng(message.device_id))
         partitioned = self.fault_model.partitioned(message.sent_at)
         dropped = dropped or partitioned
-        with self._stats_lock:
-            self.stats.sent += 1
-            if dropped:
-                self.stats.dropped += 1
-                if partitioned:
-                    self.stats.partition_dropped += 1
-            else:
-                self.stats.in_flight += 1
+        self.stats.sent += 1
+        if dropped:
+            self.stats.dropped += 1
+            if partitioned:
+                self.stats.partition_dropped += 1
+        else:
+            self.stats.in_flight += 1
         if dropped:
             return False
         delivered = Message(
@@ -251,7 +247,6 @@ class InProcessTransport:
         ready = [m for m in queue if m.deliver_at <= now]
         if ready:
             queue[:] = [m for m in queue if m.deliver_at > now]
-            with self._stats_lock:
-                self.stats.delivered += len(ready)
-                self.stats.in_flight -= len(ready)
+            self.stats.delivered += len(ready)
+            self.stats.in_flight -= len(ready)
         return ready

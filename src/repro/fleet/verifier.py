@@ -1,8 +1,8 @@
-"""The fleet verifier: batched challenges, worker pool, verdicts.
+"""The fleet verifier: batched challenges, one device loop, verdicts.
 
-One attestation *round* challenges every device, steps the device
-endpoints on a worker pool, collects responses off the transport and
-classifies each device:
+One attestation *round* challenges every device, steps each device
+endpoint in turn (sorted device order, one thread), collects
+responses off the transport and classifies each device:
 
 * ``healthy``      — quote matches the expected fleet quote;
 * ``compromised``  — a quote arrived but the MAC is wrong (live code
@@ -14,18 +14,18 @@ The clock is simulated: each attempt advances ``now`` by the timeout
 window, and per-device round latency (challenge link delay + quote
 computation + response link delay, in cycles) lands in the
 ``fleet_round_latency_cycles`` histogram.  All verdicts are a pure
-function of (devices, transport seed, nonce seed), because every
-mutable thing a worker thread touches is keyed by device id.
+function of (devices, transport seed, nonce seed): nonces and link
+faults come from per-device streams, and device turns run in a fixed
+order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.crypto import constant_time_equal
 from repro.crypto.tokens import NonceSource
-from repro.errors import FleetError
+from repro.errors import FleetError, ReproError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.transport import CHALLENGE, InProcessTransport, Message
@@ -77,7 +77,6 @@ class FleetVerifier:
         timeout_cycles: int = 8192,
         max_retries: int = 2,
         backoff: float = 1.0,
-        workers: int = 8,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if set(devices) != set(device_keys):
@@ -95,7 +94,6 @@ class FleetVerifier:
         self.timeout_cycles = timeout_cycles
         self.max_retries = max_retries
         self.backoff = backoff
-        self.workers = max(1, workers)
         self.metrics = metrics or MetricsRegistry()
         self.now = 0
         self._seq: dict[int, int] = {i: 0 for i in devices}
@@ -132,15 +130,13 @@ class FleetVerifier:
         return _Outstanding(nonce=nonce, seq=seq, sent_at=self.now)
 
     def _device_turn(self, device: FleetDevice, horizon: int) -> None:
-        """One device's endpoint loop up to ``horizon`` (worker thread).
+        """One device's endpoint loop up to ``horizon``.
 
         A device whose endpoint *errors* while answering (corrupted
         trustlet table, crashed measurement) simply stays silent — the
         verifier's retry/timeout machinery classifies it, instead of
         the whole round crashing on one broken device.
         """
-        from repro.errors import ReproError
-
         for message in self.transport.poll(
             "device", device.device_id, horizon
         ):
@@ -203,15 +199,8 @@ class FleetVerifier:
                 1, int(self.timeout_cycles * self.backoff ** (attempts - 1))
             )
             horizon = self.now + window
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(
-                        self._device_turn, self.devices[device_id], horizon
-                    )
-                    for device_id in pending
-                ]
-                for future in futures:
-                    future.result()
+            for device_id in pending:
+                self._device_turn(self.devices[device_id], horizon)
             still_pending = []
             for device_id in pending:
                 verdict = self._judge(

@@ -3,7 +3,7 @@
 Reproduces the platform of paper Fig. 1: PROM, on-chip SRAM, external
 DRAM, timer, UART and crypto engine behind one physical address space.
 The memory map is fixed so that software images, MPU policies and tests
-agree on addresses without threading constants everywhere:
+agree on addresses without passing constants everywhere:
 
 ====================  ==========  ========
 window                base        size

@@ -39,7 +39,7 @@ from repro.crypto import mac, sponge_hash
 from repro.errors import ContainerError, FleetError, ReproError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
-from repro.fleet.parallel import _cached_snapshot, _maybe_crash_for_test
+from repro.fleet.parallel import _maybe_crash_for_test, hydrate_devices
 from repro.fleet.service import _recovery_lines, device_key
 from repro.fleet.transport import (
     ACK,
@@ -181,10 +181,8 @@ class DeviceUpdateTask:
 
 def _hydrate(task: DeviceUpdateTask) -> TrustLitePlatform:
     """Clone the golden snapshot and key the crypto engine."""
-    snapshot = _cached_snapshot(task.snapshot_blob)
-    platform = snapshot.clone()
-    platform.soc.crypto.set_key(task.key)
-    return platform
+    devices = hydrate_devices(task.snapshot_blob, {task.device_id: task.key})
+    return devices[task.device_id].platform
 
 
 def _transfer_chunks(
@@ -334,7 +332,6 @@ def _attest(
         rows,
         seed=task.seed,
         timeout_cycles=task.timeout_cycles,
-        workers=1,
     )
     verdict = verifier.run_round()[task.device_id]
     return verdict.to_dict()

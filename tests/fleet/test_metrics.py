@@ -1,7 +1,5 @@
 """Tests for the fleet metrics registry."""
 
-import threading
-
 from repro.fleet.metrics import Counter, Histogram, MetricsRegistry
 
 
@@ -12,20 +10,6 @@ class TestCounter:
         counter.inc()
         counter.inc(4)
         assert counter.value == 5
-
-    def test_thread_safe_increments(self):
-        counter = Counter("c")
-
-        def worker():
-            for _ in range(1000):
-                counter.inc()
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert counter.value == 8000
 
 
 class TestHistogram:
@@ -38,9 +22,18 @@ class TestHistogram:
         assert histogram.percentile(99) == 99
         assert histogram.percentile(100) == 100
 
+    def test_nearest_rank_rounds_up(self):
+        histogram = Histogram("h")
+        for value in range(1000, 0, -1):
+            histogram.observe(value)
+        assert histogram.percentile(99) == 990
+        assert histogram.percentile(99.9) == 999
+        assert histogram.percentile(0) == 1
+
     def test_empty_histogram(self):
         histogram = Histogram("h")
         assert histogram.percentile(50) == 0
+        assert histogram.percentile(99) == 0
         assert histogram.summary() == {"count": 0}
 
     def test_summary_shape(self):
@@ -54,49 +47,21 @@ class TestHistogram:
         assert summary["mean"] == 25.0
         assert summary["p50"] == 20
 
+    def test_summary_matches_percentile(self):
+        histogram = Histogram("h")
+        for value in (3, 1, 4, 1, 5, 9, 2, 6):
+            histogram.observe(value)
+        summary = histogram.summary()
+        assert summary["min"] == 1
+        assert summary["max"] == 9
+        for pct in (50, 95, 99):
+            assert summary[f"p{pct}"] == histogram.percentile(pct)
+
     def test_single_observation(self):
         histogram = Histogram("h")
         histogram.observe(7)
         summary = histogram.summary()
         assert summary["p50"] == summary["p95"] == summary["p99"] == 7
-
-    def test_percentile_properties(self):
-        histogram = Histogram("h")
-        for value in range(1, 101):
-            histogram.observe(value)
-        assert histogram.p50 == 50
-        assert histogram.p95 == 95
-        assert histogram.p99 == 99
-
-    def test_percentile_properties_empty(self):
-        histogram = Histogram("h")
-        assert histogram.p50 == histogram.p95 == histogram.p99 == 0
-
-    def test_percentile_properties_match_summary(self):
-        histogram = Histogram("h")
-        for value in (3, 1, 4, 1, 5, 9, 2, 6):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert histogram.p50 == summary["p50"]
-        assert histogram.p95 == summary["p95"]
-        assert histogram.p99 == summary["p99"]
-
-    def test_percentiles_batch(self):
-        histogram = Histogram("h")
-        for value in range(1, 1001):
-            histogram.observe(value)
-        assert histogram.percentiles() == {
-            "p50": 500, "p95": 950, "p99": 990,
-        }
-        # Fractional percentiles format without trailing zeros.
-        assert histogram.percentiles((99.9, 100)) == {
-            "p99.9": 999, "p100": 1000,
-        }
-
-    def test_percentiles_batch_empty(self):
-        assert Histogram("h").percentiles() == {
-            "p50": 0, "p95": 0, "p99": 0,
-        }
 
 
 class TestRegistry:

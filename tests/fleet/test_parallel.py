@@ -14,7 +14,15 @@ from repro.fleet import (
     shard_ids,
 )
 from repro.fleet.metrics import MetricsRegistry
-from repro.fleet.parallel import merge_shard_results
+from repro.fleet.parallel import ShardMerger
+
+
+def merge(results, *, rounds):
+    """Fold every shard result into one ``ShardMerger``."""
+    merger = ShardMerger(rounds=rounds)
+    for result in results:
+        merger.add(result)
+    return merger.finish()
 
 
 class TestExecutionPlan:
@@ -80,7 +88,7 @@ class TestMerge:
                 },
             }
 
-        rounds, metrics, transport = merge_shard_results(
+        rounds, metrics, transport = merge(
             [shard(0, 5), shard(1, 7)], rounds=3
         )
         assert metrics.counter("fleet_challenges_sent").value == 12
@@ -107,8 +115,8 @@ class TestMerge:
                 },
             }
 
-        forward = merge_shard_results([shard(0), shard(1)], rounds=1)
-        backward = merge_shard_results([shard(1), shard(0)], rounds=1)
+        forward = merge([shard(0), shard(1)], rounds=1)
+        backward = merge([shard(1), shard(0)], rounds=1)
         assert forward[1].to_dict() == backward[1].to_dict()
         assert forward[0] == backward[0]
         assert forward[2] == backward[2]

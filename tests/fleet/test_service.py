@@ -5,8 +5,16 @@ import json
 import pytest
 
 from repro.errors import FleetError
-from repro.fleet import FleetConfig, device_key, format_report, run_fleet
-from repro.fleet.service import SCHEMA, build_fleet
+from repro.fleet import (
+    FleetConfig,
+    device_key,
+    format_report,
+    hydrate_devices,
+    prepare_run,
+    run_fleet,
+)
+from repro.fleet.parallel import _cached_image, _cached_snapshot
+from repro.fleet.service import SCHEMA
 
 
 class TestConfig:
@@ -27,16 +35,32 @@ class TestConfig:
         assert len(device_key(0, 0)) == 16
 
 
-class TestBuildFleet:
+class TestHydrateDevices:
     def test_clones_share_golden_state(self):
-        config = FleetConfig(devices=3, compromise=0)
-        devices, snapshot, image = build_fleet(config)
+        prepared = prepare_run(FleetConfig(devices=3, compromise=0))
+        keys = dict(prepared.keys)
+        devices = hydrate_devices(
+            prepared.snapshot_blob, keys, compromised=(1,),
+            trace_capacity=16,
+        )
+        snapshot = _cached_snapshot(prepared.snapshot_blob)
+        image = _cached_image("attestation")
         assert set(devices) == {0, 1, 2}
         assert snapshot.memory_bytes > 0
         assert "ATTEST" in image.module_order
-        for device in devices.values():
+        for device_id, device in devices.items():
+            assert device.device_id == device_id
             assert device.platform.image is image
             assert device.platform.cpu.cycles == snapshot.cpu.cycles
+            assert device.tracer is not None
+        assert devices[1].tampered_modules
+        assert not devices[0].tampered_modules
+        assert not devices[2].tampered_modules
+        quotes = {
+            device_id: device.compute_quote(b"n" * 8, 1)[0]
+            for device_id, device in devices.items()
+        }
+        assert quotes[0] != quotes[2]  # keyed per device
 
 
 class TestRunFleet:

@@ -1,5 +1,5 @@
 """Streaming merge: O(1) coordinator state, order-independence, and
-payload identity across blob-shipping / shard-sizing execution paths."""
+payload identity across worker-count / shard-sizing execution paths."""
 
 import json
 import time
@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.fleet.executor import run_resilient
-from repro.fleet.parallel import ExecutionPlan, ShardMerger, merge_shard_results
+from repro.fleet.parallel import ExecutionPlan, ShardMerger
 from repro.fleet.service import FleetConfig, execute_run, prepare_run
 
 # Parent-side live-instance accounting for _make_tracked results: the
@@ -64,9 +64,10 @@ class TestShardMerger:
     ]
 
     def test_matches_batch_merge_in_any_order(self):
-        batch_rounds, batch_metrics, batch_transport = (
-            merge_shard_results(list(self.RESULTS), rounds=1)
-        )
+        batch = ShardMerger(rounds=1)
+        for result in self.RESULTS:
+            batch.add(result)
+        batch_rounds, batch_metrics, batch_transport = batch.finish()
         merger = ShardMerger(rounds=1)
         for result in reversed(self.RESULTS):
             merger.add(result)
@@ -131,8 +132,8 @@ class TestStreamingDelivery:
 
 
 class TestExecutionPathIdentity:
-    """Blob shipping, pool reuse and shard sizing are invisible in the
-    report payload."""
+    """Worker count (and with it blob shipping) and shard sizing are
+    invisible in the report payload."""
 
     CONFIG = FleetConfig(devices=4, seed=5, compromise=1)
 
@@ -147,26 +148,28 @@ class TestExecutionPathIdentity:
 
     def test_execute_run_streams_not_batch_merges(self, prepared,
                                                   monkeypatch):
-        import repro.fleet.parallel as parallel
+        import repro.fleet.service as service
 
-        def boom(*_args, **_kwargs):
-            raise AssertionError("execute_run used the batch merge")
+        real_run_shards = service.run_shards
 
-        monkeypatch.setattr(parallel, "merge_shard_results", boom)
+        def streaming_only(*args, consume=None, **kwargs):
+            assert consume is not None, "execute_run batch-merged"
+            return real_run_shards(*args, consume=consume, **kwargs)
+
+        monkeypatch.setattr(service, "run_shards", streaming_only)
         report = execute_run(prepared, ExecutionPlan(workers=1))
         assert report["ok"] is True
 
-    def test_shm_and_repickle_blobs_agree(self, prepared):
+    def test_shm_and_inline_blobs_agree(self, prepared):
         shm = execute_run(
             prepared, ExecutionPlan(workers=2, shard_size=2)
         )
-        repickle = execute_run(
-            prepared,
-            ExecutionPlan(workers=2, shard_size=2, share_blob=False),
+        inline = execute_run(
+            prepared, ExecutionPlan(workers=1, shard_size=2)
         )
         assert shm["execution"]["shared_blob"] is True
-        assert repickle["execution"]["shared_blob"] is False
-        assert self._canonical(shm) == self._canonical(repickle)
+        assert inline["execution"]["shared_blob"] is False
+        assert self._canonical(shm) == self._canonical(inline)
 
     def test_adaptive_shards_agree_with_pinned(self, prepared):
         pinned = execute_run(

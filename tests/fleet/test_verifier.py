@@ -185,12 +185,12 @@ class TestRounds:
         assert devices[0].last_seq == 2
         assert devices[0].replays_rejected == 0
 
-    def test_worker_pool_handles_many_devices(self, golden):
+    def test_one_round_handles_many_devices(self, golden):
         snapshot, _image = golden
         devices = {
             i: FleetDevice(i, snapshot.clone(), KEY) for i in range(6)
         }
-        verifier, _metrics = make_verifier(golden, devices, workers=3)
+        verifier, _metrics = make_verifier(golden, devices)
         verdicts = verifier.run_round()
         assert all(v.status == HEALTHY for v in verdicts.values())
 
