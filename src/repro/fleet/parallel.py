@@ -208,10 +208,10 @@ def _cached_image(name: str):
 
 
 def hydrate_devices(
-    blob,
+    blob: bytes | SharedBlobRef,
     keys: dict[int, bytes],
     *,
-    compromised=(),
+    compromised: tuple[int, ...] = (),
     engine: str = ENGINE_FAST,
     trace_capacity: int = 0,
 ) -> dict[int, FleetDevice]:
