@@ -17,8 +17,13 @@ import pytest
 
 from repro.faults import CampaignConfig
 from repro.faults import run_campaign as run_fault_campaign
-from repro.fleet import ExecutionPlan, FleetConfig, ServiceConfig, run_fleet
-from repro.fleet import run_service
+from repro.fleet import (
+    ExecutionPlan,
+    FleetConfig,
+    ServiceConfig,
+    run_fleet,
+    run_service,
+)
 from repro.ota import OtaConfig
 from repro.ota import run_campaign as run_ota_campaign
 
