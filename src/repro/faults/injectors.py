@@ -11,9 +11,10 @@ Injection routes deliberately mirror how the fault would arrive on
 real silicon:
 
 * **memory flips** go through the memories' host-side ``load`` port
-  (the radiation/rowhammer analogue), which fires the mutation hooks
-  the fast-path decode cache listens on — an injected flip is never
-  hidden by a stale cache line;
+  (the radiation/rowhammer analogue), which the bus reports to its
+  write listeners like any store, so the fast path's decode cache and
+  traces drop the flipped page — an injected flip is never hidden by
+  a stale cache line;
 * **MPU glitches** go through :class:`~repro.machine.snapshot.MpuState`
   capture/mutate/apply, the scan-chain path, which bumps the region
   file's generation and flushes the permission lookaside;
@@ -52,8 +53,8 @@ def flip_memory_bits(
 
     ``lo``/``hi`` bound the affected offset range (device-relative,
     ``hi`` exclusive; default the whole memory).  Uses the host-side
-    ``load`` port, which works on PROM too and notifies mutation
-    hooks.  Returns one ``{"offset", "bit"}`` record per flip.
+    ``load`` port, which works on PROM too and reaches the bus write
+    listeners.  Returns one ``{"offset", "bit"}`` record per flip.
     """
     if memory not in _MEMORIES:
         raise FaultError(

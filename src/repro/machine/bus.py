@@ -18,14 +18,18 @@ Memories are copy-on-first-write (:mod:`repro.machine.memories`), so
 each window caches two views of its memory: the read view (shared
 ``bytes`` or the private ``bytearray``) and a write store, which holds
 the array only once the memory owns a private ``bytearray``.  Until
-then a store falls through to ``device.write``, which copies.  The
-memory fires a rebind hook whenever it replaces its array, and the bus
-refreshes both views of that window.
+then a store falls through to ``device.write``, which copies.
 
 Two observer hooks exist for cache coherence (used by
-:mod:`repro.machine.fastpath`): write listeners fire after every
-successful bus write with the absolute address range touched, and
-topology listeners fire when a new window is attached.
+:mod:`repro.machine.fastpath`).  Write listeners hear
+``(address, length)`` for every change to memory contents: after each
+successful bus store, and for the host-side ports that bypass the bus
+(``Ram.load``, ``wipe``, ``restore_state``).  The bus registers one
+hook on every memory window; the memory fires it whenever it replaces
+its array or changes contents, and the bus then refreshes both views
+of that window and, for a non-empty range, translates the offset to a
+physical address and fires the write listeners.  Topology listeners
+fire when a new window is attached.
 """
 
 from __future__ import annotations
@@ -107,29 +111,37 @@ class Bus:
         self._ram_data = [None] * len(self._devices)
         self._ram_store = [None] * len(self._devices)
         for i, device in enumerate(self._devices):
-            # Short-circuit only devices that kept the stock Ram byte
-            # semantics; any override (PROM's absent write port, future
-            # side-effecting memories) keeps the device dispatch.
-            if isinstance(device, Ram) and type(device).read is Ram.read:
-                self._bind(i)
-                device.add_rebind_hook(self, partial(self._bind, i))
+            if isinstance(device, Ram):
+                hook = partial(self._on_memory_change, i)
+                device.add_hook(self, hook)
+                hook(0, 0)
         self._last = -1
 
-    def _bind(self, i: int) -> None:
-        """Refresh window ``i``'s read view and write store."""
+    def _on_memory_change(self, i: int, offset: int, length: int) -> None:
+        """Window ``i``'s memory replaced its array or changed
+        ``[offset, +length)`` behind the bus."""
         device = self._devices[i]
-        data = device._data
-        self._ram_data[i] = data
-        self._ram_store[i] = (
-            data if type(data) is bytearray
-            and type(device).write is Ram.write else None
-        )
+        # Short-circuit only devices that kept the stock Ram byte
+        # semantics; any override (PROM's absent write port, future
+        # side-effecting memories) keeps the device dispatch.
+        if type(device).read is Ram.read:
+            data = device._data
+            self._ram_data[i] = data
+            self._ram_store[i] = (
+                data if type(data) is bytearray
+                and type(device).write is Ram.write else None
+            )
+        if length:
+            address = self._bases[i] + offset
+            for listener in self._write_listeners:
+                listener(address, length)
 
     # ------------------------------------------------------------------
     # Coherence observers.
 
     def add_write_listener(self, listener) -> None:
-        """``listener(address, length)`` after every successful write."""
+        """``listener(address, length)`` after every change to memory
+        contents: successful bus writes and host-side memory ports."""
         if listener not in self._write_listeners:
             self._write_listeners.append(listener)
 

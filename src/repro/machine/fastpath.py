@@ -12,10 +12,17 @@ simulation analogue, and it must be *semantically invisible*:
 * :class:`DecodeCache` — decoded instructions keyed by physical
   address, storing ``(Instruction, length, base_cycle_cost)``.  Entries
   exist only for RAM-backed addresses (fetching from MMIO would skip a
-  read side effect).  Invalidated by every overlapping bus write, by
-  host-side memory mutation (``Ram.load``/``wipe``/``restore_state``,
-  which snapshot restore uses), tracked page-wise so the common case —
-  a data write nowhere near cached code — costs two dict probes.
+  read side effect).
+* One page index, owned by :class:`FastPath`, maps every 256-byte page
+  that holds cached code to the decode-cache addresses and recorded
+  traces (:mod:`repro.machine.traces`) on it.  Every change to memory
+  contents reaches it on one channel, the bus write listener: bus
+  stores and DMA directly, and the host-side ports that bypass the bus
+  (``Ram.load``/``wipe``/``restore_state``, which tamper, OTA writes,
+  fault flips and snapshot restore use) through the bus's hook on each
+  memory window.  The listener drops whatever shares a written page,
+  so the common case — a data write nowhere near cached code — costs
+  two dict probes.
 * :class:`MpuLookaside` — memoizes EA-MPU decisions per
   ``(subject mask, address, size, access)`` and the subject mask per
   instruction address, over a compiled (plain-int) copy of the valid
@@ -62,63 +69,25 @@ _PERM_FOR_ACCESS = {
 }
 
 
+def _pages_of(address: int, length: int) -> range:
+    """The pages ``[address, +length)`` touches."""
+    return range(
+        address >> PAGE_SHIFT, ((address + length - 1) >> PAGE_SHIFT) + 1
+    )
+
+
 class DecodeCache:
     """Decoded-instruction cache keyed by physical address.
 
-    ``entries[addr] = (Instruction, length, base_cycle_cost)``.  The
-    page index maps every granule that holds cached instruction bytes
-    to the entry start addresses inside it, so invalidation cost is
-    proportional to the (rare) overlap, not to the cache size.
+    ``entries[addr] = (Instruction, length, base_cycle_cost)``; the
+    fast path indexes each entry under every page its bytes touch.
     """
 
     def __init__(self) -> None:
         self.entries: dict[int, tuple] = {}
-        self._pages: dict[int, set[int]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self.flushes = 0
-
-    def insert(self, address: int, instr, length: int, cost: int) -> None:
-        self.entries[address] = (instr, length, cost)
-        first = address >> PAGE_SHIFT
-        last = (address + length - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            self._pages.setdefault(page, set()).add(address)
-
-    def invalidate_range(self, address: int, length: int) -> None:
-        """Drop every entry sharing a page with ``[address, +length)``.
-
-        Page-conservative (an entry in the written page but not at the
-        written byte is dropped too): costs only a spurious re-decode,
-        never a stale hit.
-        """
-        pages = self._pages
-        first = address >> PAGE_SHIFT
-        last = (address + length - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            addrs = pages.pop(page, None)
-            if not addrs:
-                continue
-            for start in addrs:
-                entry = self.entries.pop(start, None)
-                if entry is None:
-                    continue
-                self.invalidations += 1
-                # An 8-byte instruction may be indexed in two pages.
-                for other in (
-                    start >> PAGE_SHIFT,
-                    (start + entry[1] - 1) >> PAGE_SHIFT,
-                ):
-                    if other != page:
-                        neighbours = pages.get(other)
-                        if neighbours is not None:
-                            neighbours.discard(start)
-
-    def flush(self) -> None:
-        self.entries.clear()
-        self._pages.clear()
-        self.flushes += 1
 
     @property
     def stats(self) -> dict:
@@ -127,7 +96,6 @@ class DecodeCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "flushes": self.flushes,
         }
 
 
@@ -171,6 +139,36 @@ class MpuLookaside:
         )
         self._generation = mpu.generation
 
+    def mask_for(self, subject_ip: int) -> int:
+        """The subject mask of ``subject_ip``, memoized per address."""
+        mask = self._subject_masks.get(subject_ip)
+        if mask is None:
+            mask = 0
+            for base, end, _perm, _subjects, index in self._compiled:
+                if base <= subject_ip < end:
+                    mask |= 1 << index
+            self._subject_masks[subject_ip] = mask
+        return mask
+
+    def scan(
+        self, mask: int, address: int, size: int, access: AccessType
+    ) -> int:
+        """Scan the region file without touching the stats: the 1-based
+        position of the first region that allows the access, else 0."""
+        needed = _PERM_FOR_ACCESS[access]
+        limit = address + size
+        for position, (base, end, perm, subjects, _index) in enumerate(
+            self._compiled, 1
+        ):
+            if (
+                base <= address
+                and limit <= end
+                and perm & needed
+                and (subjects == ANY_SUBJECT or subjects & mask)
+            ):
+                return position
+        return 0
+
     def check(
         self, subject_ip: int, address: int, size: int, access: AccessType
     ) -> None:
@@ -182,30 +180,14 @@ class MpuLookaside:
         stats.checks += 1
         if not mpu.enabled:
             return
-        mask = self._subject_masks.get(subject_ip)
-        if mask is None:
-            mask = 0
-            for base, end, _perm, _subjects, index in self._compiled:
-                if base <= subject_ip < end:
-                    mask |= 1 << index
-            self._subject_masks[subject_ip] = mask
+        mask = self.mask_for(subject_ip)
         key = (mask, address, size, access)
         allow = self._decisions.get(key)
         if allow is None:
             stats.lookaside_misses += 1
-            allow = False
-            needed = _PERM_FOR_ACCESS[access]
-            limit = address + size
-            for base, end, perm, subjects, _index in self._compiled:
-                stats.regions_scanned += 1
-                if (
-                    base <= address
-                    and limit <= end
-                    and perm & needed
-                    and (subjects == ANY_SUBJECT or subjects & mask)
-                ):
-                    allow = True
-                    break
+            position = self.scan(mask, address, size, access)
+            stats.regions_scanned += position or len(self._compiled)
+            allow = position > 0
             if len(self._decisions) >= self.MAX_DECISIONS:
                 # In-place so bound references (the trace engine holds
                 # ``_decisions.get``) stay valid.
@@ -222,7 +204,7 @@ class MpuLookaside:
 
 
 class FastPath:
-    """Per-CPU fast-path state: decode cache + lookaside + bus hooks."""
+    """Per-CPU fast-path state: decode cache, lookaside, page index."""
 
     def __init__(self, cpu: "Cpu", trace: bool = False) -> None:
         self.cpu = cpu
@@ -234,9 +216,10 @@ class FastPath:
         # fleet clone that is only attested, pays nothing for it.
         self.trace = trace
         self._traces: "TraceEngine | None" = None
+        # page -> decode-cache addresses and traces with bytes on it.
+        self._pages: dict[int, set] = {}
         self.bus.add_write_listener(self._on_bus_write)
         self.bus.add_topology_listener(self._on_topology_change)
-        self._sync_memory_hooks()
 
     @property
     def traces(self) -> "TraceEngine | None":
@@ -254,38 +237,59 @@ class FastPath:
         """The trace engine's counters, or ``None`` if none was built."""
         return self._traces.stats if self._traces is not None else None
 
-    # -- invalidation plumbing -----------------------------------------
+    # -- invalidation ---------------------------------------------------
+
+    def index(self, member, pages) -> None:
+        """File ``member`` (a decode address or a trace) under ``pages``."""
+        for page in pages:
+            self._pages.setdefault(page, set()).add(member)
+
+    def unindex(self, member, pages) -> None:
+        for page in pages:
+            members = self._pages.get(page)
+            if members is not None:
+                members.discard(member)
 
     def _on_bus_write(self, address: int, length: int) -> None:
-        if self.decode_cache.entries:
-            self.decode_cache.invalidate_range(address, length)
-        if self._traces is not None:
-            self._traces.invalidate_range(address, length)
+        """Drop every decoded instruction and trace sharing a page with
+        ``[address, +length)``.
+
+        Page-conservative (an entry in the written page but not at the
+        written byte is dropped too): costs only a spurious re-decode or
+        re-record, never a stale hit.  A dropped entry leaves every
+        other page it was filed under, so a later write there cannot
+        count it twice or drop its successor.
+        """
+        traces = self._traces
+        if traces is not None and traces._blacklist:
+            # The code that made a head unrecordable may just have
+            # changed; re-discover from scratch.
+            traces._blacklist.clear()
+        pages = self._pages
+        if not pages:
+            return
+        entries = self.decode_cache.entries
+        for page in _pages_of(address, length):
+            members = pages.pop(page, None)
+            if not members:
+                continue
+            for member in members:
+                if type(member) is int:
+                    self.decode_cache.invalidations += 1
+                    others = _pages_of(member, entries.pop(member)[1])
+                else:
+                    traces.kill(member)
+                    others = member.pages
+                for other in others:
+                    if other != page:
+                        neighbours = pages.get(other)
+                        if neighbours is not None:
+                            neighbours.discard(member)
 
     def _on_topology_change(self) -> None:
-        self._sync_memory_hooks()
         if self._traces is not None:
             # Traces bake RAM-window bounds into their store guards.
             self._traces.flush()
-
-    def _sync_memory_hooks(self) -> None:
-        """Watch host-side mutation of every RAM-backed window.
-
-        ``Ram.load``/``wipe``/``restore_state`` bypass the bus (they
-        model out-of-band programming and scan-chain restore), so the
-        bus write listener never sees them; per-device hooks translate
-        their device-relative offsets to physical addresses.
-        """
-        for mapping in self.bus.mappings:
-            device = mapping.device
-            if hasattr(device, "add_mutation_hook"):
-                base = mapping.base
-                device.add_mutation_hook(
-                    self,
-                    lambda offset, length, base=base: self._on_bus_write(
-                        base + offset, length
-                    ),
-                )
 
     # -- MPU attachment -------------------------------------------------
 
@@ -325,5 +329,6 @@ class FastPath:
         instr, length = cpu._fetch()
         cost = cycle_cost(instr.op)
         if self.bus.is_ram_backed(ip, length):
-            cache.insert(ip, instr, length, cost)
+            cache.entries[ip] = (instr, length, cost)
+            self.index(ip, _pages_of(ip, length))
         return instr, length, cost

@@ -7,11 +7,6 @@ and integrity-protected public data.  Functionally all three are byte
 arrays; PROM additionally rejects guest writes (it is programmed by the
 image builder before boot, via :meth:`Prom.load`).
 
-Host-side mutation paths (``load``, ``wipe``, ``restore_state``) bypass
-the bus, so memories expose *mutation hooks* — the fast-path decode
-cache registers one per RAM window and is told the touched offset range
-whenever contents change behind the bus's back.
-
 Contents are copy-on-first-write.  A memory starts on the shared
 all-zero image of its size (:func:`zero_bytes`), ``restore_state``
 adopts the snapshot's own immutable ``bytes``, and ``wipe`` goes back
@@ -24,12 +19,15 @@ and no copy to bring a device up).  Coherence:
 * shared contents are immutable ``bytes``, so no write can leak
   between clones or into the snapshot they came from;
 * ``_data`` is replaced only inside :class:`Ram` (``_own``, ``wipe``,
-  ``restore_state``) and every replacement fires the *rebind hooks*,
-  through which the bus refreshes its cached read view and write
-  store, so the bus never holds a stale array;
-* a copy does not change contents, so decode-cache and trace
-  invalidation still comes from the bus write listeners and the
-  mutation hooks, exactly as before.
+  ``restore_state``), and contents change behind the bus only in
+  ``load``, ``wipe`` and ``restore_state``;
+* each of those fires the memory's one hook registry with
+  ``hook(offset, length)``: the changed range, or ``length == 0`` when
+  only the array was replaced (a copy does not change contents).  The
+  bus registers there for every memory window: it rebinds its cached
+  read view and write store, and reports a non-empty range to its
+  write listeners like any bus store, so the derived code caches
+  (:mod:`repro.machine.fastpath`) hear of every change on one channel.
 
 The zero image must be shared, not a fresh ``bytes(size)`` per memory:
 once a worker has freed a shard of clones, glibc's dynamic mmap
@@ -60,31 +58,17 @@ class Ram(Device):
         self._data = zero_bytes(size) if fill == 0 else bytes([fill]) * size
         #: Bytes copied into private arrays on first change (observability).
         self.copied_bytes = 0
-        # key -> hook(offset, length); fired on host-side mutation.
-        self._mutation_hooks: dict = {}
-        # key -> hook(); fired whenever ``_data`` is replaced.
-        self._rebind_hooks: dict = {}
+        # key -> hook(offset, length), fired when contents change
+        # behind the bus or ``_data`` is replaced (``length == 0``).
+        self._hooks: dict = {}
 
-    def add_mutation_hook(self, key, hook) -> None:
-        """Register (or replace) a host-mutation observer under ``key``."""
-        self._mutation_hooks[key] = hook
+    def add_hook(self, key, hook) -> None:
+        """Register (or replace) ``hook(offset, length)`` under ``key``."""
+        self._hooks[key] = hook
 
-    def remove_mutation_hook(self, key) -> None:
-        self._mutation_hooks.pop(key, None)
-
-    def _notify_mutation(self, offset: int, length: int) -> None:
-        for hook in self._mutation_hooks.values():
+    def _notify(self, offset: int, length: int) -> None:
+        for hook in self._hooks.values():
             hook(offset, length)
-
-    def add_rebind_hook(self, key, hook) -> None:
-        """Register (or replace) ``hook()``, fired when ``_data`` is
-        replaced (private copy, wipe, restore)."""
-        self._rebind_hooks[key] = hook
-
-    def _rebind(self, data) -> None:
-        self._data = data
-        for hook in self._rebind_hooks.values():
-            hook()
 
     def _own(self) -> bytearray:
         """The private, writable contents, copied on first use."""
@@ -92,7 +76,8 @@ class Ram(Device):
         if type(data) is not bytearray:
             data = bytearray(data)
             self.copied_bytes += len(data)
-            self._rebind(data)
+            self._data = data
+            self._notify(0, 0)
         return data
 
     def read(self, offset: int, size: int) -> int:
@@ -118,7 +103,7 @@ class Ram(Device):
         """Bulk-initialize memory contents (host-side, not a bus access)."""
         self._check_offset(offset, max(len(blob), 1))
         self._own()[offset:offset + len(blob)] = blob
-        self._notify_mutation(offset, len(blob))
+        self._notify(offset, len(blob))
 
     def dump(self, offset: int = 0, length: int | None = None) -> bytes:
         """Snapshot memory contents (host-side, not a bus access)."""
@@ -129,8 +114,8 @@ class Ram(Device):
 
     def wipe(self) -> None:
         """Clear all contents, as SMART/Sancus require on every reset."""
-        self._rebind(zero_bytes(self.size))
-        self._notify_mutation(0, self.size)
+        self._data = zero_bytes(self.size)
+        self._notify(0, self.size)
 
     def snapshot_state(self) -> bytes:
         # Shared ``bytes`` are returned as they are; only a private
@@ -144,8 +129,8 @@ class Ram(Device):
                 f"snapshot of {len(state)} bytes does not fit memory "
                 f"{self.name!r} of {self.size} bytes"
             )
-        self._rebind(bytes(state))
-        self._notify_mutation(0, self.size)
+        self._data = bytes(state)
+        self._notify(0, self.size)
 
 
 class Dram(Ram):

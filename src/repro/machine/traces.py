@@ -50,13 +50,16 @@ plumbing.
   Runs are bounded by ``min(budget, bus.next_event_in())`` so batched
   device ticks never fire an interrupt that the reference engine
   would have delivered mid-batch.
-* **Invalidation** — traces ride the existing fast-path plumbing:
-  bus-write listeners and ``Ram`` mutation hooks kill traces
-  page-granularly, on every page any of a trace's ops occupies (a
-  store *inside* a running trace checks a shared
-  ``alive`` cell and exits), bus topology changes and MPU re-attach
-  flush everything, and MPU ``generation`` bumps force revalidation
-  of the baked subject masks and fetch decisions before the next run.
+* **Invalidation** — each trace is filed in the fast path's one page
+  index, beside the decode-cache entries, under every page any of its
+  ops occupies.  Every change to memory contents reaches that index as
+  a bus write (host-side ``Ram.load``/``wipe``/``restore_state``
+  included, through the bus's memory hook), which kills the traces on
+  the written pages and clears the recording blacklist; a store
+  *inside* a running trace checks a shared ``alive`` cell and exits.
+  Bus topology changes and MPU re-attach flush every trace, and MPU
+  ``generation`` bumps force revalidation of the baked subject masks
+  and fetch decisions before the next run.
 
 Two closure variants exist per trace: a *plain* one (counters batched
 per exit) used when no retire hook is attached, and an *observed* one
@@ -75,8 +78,7 @@ from repro.isa.cycles import BRANCH_TAKEN_PENALTY, cycle_cost
 from repro.isa.encoding import decode, instruction_length
 from repro.isa.opcodes import BRANCH_CONDITIONS, Cond, Op
 from repro.machine.access import AccessType
-from repro.machine.fastpath import PAGE_SHIFT, _PERM_FOR_ACCESS
-from repro.mpu.regions import ANY_SUBJECT
+from repro.machine.fastpath import _pages_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine.fastpath import FastPath, MpuLookaside
@@ -577,7 +579,6 @@ class TraceEngine:
         self._hot: dict[int, int] = {}
         self._traces: dict[int, Trace] = {}
         self._blacklist: set[int] = set()
-        self._pages: dict[int, set[int]] = {}
         self.runs = 0
         self.instructions = 0
         self.batched_cycles = 0
@@ -620,79 +621,28 @@ class TraceEngine:
 
     # -- invalidation ---------------------------------------------------
 
-    def invalidate_range(self, address: int, length: int) -> None:
-        """Kill every trace sharing a page with the written range."""
-        if self._blacklist:
-            # The code that made a head unrecordable may just have
-            # changed; re-discover from scratch.
-            self._blacklist.clear()
-        pages = self._pages
-        if not pages:
-            return
-        first = address >> PAGE_SHIFT
-        last = (address + length - 1) >> PAGE_SHIFT
-        for page in range(first, last + 1):
-            heads = pages.pop(page, None)
-            if not heads:
-                continue
-            for head in heads:
-                trace = self._traces.pop(head, None)
-                if trace is None:
-                    continue
-                trace.alive[0] = False
-                self.invalidations += 1
-                for other in trace.pages:
-                    if other != page:
-                        neighbours = pages.get(other)
-                        if neighbours is not None:
-                            neighbours.discard(head)
+    def kill(self, trace: Trace) -> None:
+        """Retire ``trace`` because its code changed; the fast path has
+        already taken it out of the page index."""
+        trace.alive[0] = False
+        del self._traces[trace.head]
+        self.invalidations += 1
 
     def flush(self) -> None:
+        unindex = self.fastpath.unindex
         for trace in self._traces.values():
             trace.alive[0] = False
+            unindex(trace, trace.pages)
         self._traces.clear()
-        self._pages.clear()
         self._hot.clear()
         self._blacklist.clear()
         self.flushes += 1
 
     def _drop(self, trace: Trace) -> None:
         trace.alive[0] = False
-        self._traces.pop(trace.head, None)
-        for page in trace.pages:
-            heads = self._pages.get(page)
-            if heads is not None:
-                heads.discard(trace.head)
+        del self._traces[trace.head]
+        self.fastpath.unindex(trace, trace.pages)
         self.drops += 1
-
-    # -- MPU helpers (stats-free: host-side validation, not checks) -----
-
-    @staticmethod
-    def _mask_for(la: "MpuLookaside", subject_ip: int) -> int:
-        mask = la._subject_masks.get(subject_ip)
-        if mask is None:
-            mask = 0
-            for base, end, _perm, _subjects, index in la._compiled:
-                if base <= subject_ip < end:
-                    mask |= 1 << index
-            la._subject_masks[subject_ip] = mask
-        return mask
-
-    @staticmethod
-    def _scan_allows(
-        la: "MpuLookaside", mask: int, address: int, size: int, access
-    ) -> bool:
-        needed = _PERM_FOR_ACCESS[access]
-        limit = address + size
-        for base, end, perm, subjects, _index in la._compiled:
-            if (
-                base <= address
-                and limit <= end
-                and perm & needed
-                and (subjects == ANY_SUBJECT or subjects & mask)
-            ):
-                return True
-        return False
 
     # -- recording ------------------------------------------------------
 
@@ -768,7 +718,7 @@ class TraceEngine:
         if mode == "full":
             for k, (addr, instr, _length, _cost) in enumerate(ops):
                 if instr.op in _MEM_OPS:
-                    m = self._mask_for(la, addr)
+                    m = la.mask_for(addr)
                     masks[k] = m
                     mask_sites[addr] = m
             # In-trace fetch permissions: instruction k's fetch subject
@@ -779,13 +729,11 @@ class TraceEngine:
             prev = ops[-1][0] if closing != "line" else None
             for addr, _instr, length, _cost in ops:
                 if prev is not None:
-                    sm = self._mask_for(la, prev)
+                    sm = la.mask_for(prev)
                     mask_sites[prev] = sm
                     for word_addr in range(addr, addr + length, 4):
                         fetch_sites.append((prev, word_addr))
-                        if not self._scan_allows(
-                            la, sm, word_addr, 4, AccessType.FETCH
-                        ):
+                        if not la.scan(sm, word_addr, 4, AccessType.FETCH):
                             # The region would fault; let the
                             # interpreter run it (and retry recording
                             # if the policy changes — no blacklist).
@@ -823,13 +771,10 @@ class TraceEngine:
         trace.pages = tuple(sorted({
             page
             for addr, _instr, length, _cost in ops
-            for page in range(
-                addr >> PAGE_SHIFT, ((addr + length - 1) >> PAGE_SHIFT) + 1
-            )
+            for page in _pages_of(addr, length)
         }))
         self._traces[head] = trace
-        for page in trace.pages:
-            self._pages.setdefault(page, set()).add(head)
+        self.fastpath.index(trace, trace.pages)
         self.recorded += 1
 
     # -- revalidation and dispatch --------------------------------------
@@ -842,13 +787,11 @@ class TraceEngine:
             return False
         if mpu.enabled:
             for subject, mask in trace.mask_sites:
-                if self._mask_for(la, subject) != mask:
+                if la.mask_for(subject) != mask:
                     return False
             for subject, addr in trace.fetch_sites:
-                mask = self._mask_for(la, subject)
-                if not self._scan_allows(
-                    la, mask, addr, 4, AccessType.FETCH
-                ):
+                mask = la.mask_for(subject)
+                if not la.scan(mask, addr, 4, AccessType.FETCH):
                     return False
         trace.generation = la._generation
         return True

@@ -14,8 +14,11 @@ is driven here on one of two sibling clones:
   bit-flip injector, ``wipe``, and ``restore_state`` with real bytes
   and with a :class:`ZeroBytes` placeholder.
 
-Code patched over a recorded trace must kill the trace, and the clone
-must then stay in lockstep with the reference engine.
+Every path must also reach the derived code caches on their one
+channel: a bus write listener must hear a range covering each changed
+byte.  Code patched over a recorded trace must kill the trace and drop
+the decoded instructions on the patched pages, and the clone must then
+stay in lockstep with the reference engine.
 """
 
 import random
@@ -222,6 +225,37 @@ class TestSiblingIsolation:
         assert Snapshot.save(sibling) == snapshot
 
 
+class TestOneInvalidationChannel:
+    @pytest.mark.parametrize("path", sorted(MUTATIONS))
+    def test_write_listeners_hear_every_changed_byte(self, golden, path):
+        snapshot, _blob = golden
+        target = snapshot.clone()
+        heard = []
+        target.bus.add_write_listener(
+            lambda address, length: heard.append((address, length))
+        )
+        MUTATIONS[path](target)
+        states = dict(snapshot.devices)
+        changed = _changed(snapshot, target)
+        assert changed, f"{path} changed no memory"
+        for base, device in _memories(target):
+            if device.name not in changed:
+                continue
+            lo, hi = changed[device.name]
+            now, then = device.dump(), bytes(states[device.name])
+            unheard = [
+                base + offset for offset in range(lo, hi)
+                if now[offset] != then[offset] and not any(
+                    address <= base + offset < address + length
+                    for address, length in heard
+                )
+            ]
+            assert not unheard, (
+                f"{path}: no write listener heard {len(unheard)} changed "
+                f"byte(s) of {device.name}, first at {unheard[0]:#x}"
+            )
+
+
 # --------------------------------------------------------------------------
 # Code patched under a recorded trace.
 
@@ -313,10 +347,23 @@ class TestPatchOverTrace:
         ]
         assert covering, "no recorded trace covers the counter loop"
 
+        entries = traced.cpu.fastpath.decode_cache.entries
+
+        def decoded_on_patched_pages():
+            return [
+                address for address, (_instr, length, _cost)
+                in entries.items()
+                if pages & {address >> PAGE_SHIFT,
+                            (address + length - 1) >> PAGE_SHIFT}
+            ]
+
+        assert decoded_on_patched_pages(), "no decoded code to patch"
+
         for offset, data in stride_patch:
             patch(traced, PROM_BASE + offset, data)
             patch(reference, PROM_BASE + offset, data)
         assert not any(trace.alive[0] for trace in covering)
+        assert not decoded_on_patched_pages()
         code = traced.soc.prom.size
         assert traced.bus.read_bytes(PROM_BASE, code) \
             == reference.bus.read_bytes(PROM_BASE, code)

@@ -602,7 +602,11 @@ class TestCompiledCodeSharing:
         assert run_first.__code__ is run_second.__code__
         assert run_first.__globals__ is not run_second.__globals__
 
-        engines[0].invalidate_range(head, 4)
+        # Reprogram the head's bytes unchanged: a real host-side write.
+        prom = clones[0].soc.prom
+        offset = head - clones[0].bus.base_of(prom.name)
+        assert 0 <= offset < prom.size, "the common trace is not in PROM"
+        prom.load(offset, prom.dump(offset, 4))
         assert head not in engines[0]._traces
         assert not first.alive[0]
         assert engines[1]._traces[head] is second
