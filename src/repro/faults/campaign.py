@@ -16,6 +16,12 @@ and checks the paper's security invariants:
   rejected with ``SnapcodecError`` (or survive decoding cleanly),
   never crash with ``IndexError``/``struct.error`` or hang.
 
+Every scenario clones the fleet's shared golden boot
+(:func:`~repro.fleet.parallel.golden_boot`) and travels as a
+:class:`ScenarioTask` carrying the frozen :class:`CampaignConfig`; the
+OTA scenarios sign their containers with
+:func:`repro.ota.campaign.sign_containers`, like the OTA campaign.
+
 Everything is derived from one seed through
 :class:`~repro.faults.plan.FaultPlan` scopes, and the report contains
 no execution metadata at all — the campaign JSON is byte-identical
@@ -28,15 +34,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.core.attestation import expected_measurements
 from repro.core.layout import ENTRY_VECTOR_SIZE, TRUSTLET_TABLE_BASE
-from repro.core.platform import TrustLitePlatform
-from repro.core.trustlet_table import (
-    HEADER_SIZE,
-    OFF_CODE_END,
-    ROW_SIZE,
-    name_tag,
-)
+from repro.core.trustlet_table import HEADER_SIZE, OFF_CODE_END, ROW_SIZE
 from repro.errors import FaultError, ReproError, SnapcodecError
 from repro.faults.injectors import (
     corrupt_blob,
@@ -49,7 +48,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
-from repro.fleet.parallel import hydrate_devices
+from repro.fleet.parallel import golden_boot, hydrate_devices
 from repro.fleet.service import device_key
 from repro.fleet.transport import (
     FaultModel,
@@ -57,10 +56,16 @@ from repro.fleet.transport import (
     flap_windows,
 )
 from repro.fleet.verifier import COMPROMISED, HEALTHY, FleetVerifier
-from repro.machine.snapcodec import decode_snapshot, encode_snapshot
-from repro.machine.snapshot import Snapshot
+from repro.machine.snapcodec import decode_snapshot
 from repro.machine.soc import SRAM_BASE
-from repro.sw.images import build_attestation_image
+from repro.ota.campaign import (
+    UPDATED,
+    DeviceUpdateTask,
+    OtaConfig,
+    run_device_update,
+    sign_containers,
+)
+from repro.ota.container import encode_container
 
 SCHEMA = "repro.faults/1"
 
@@ -112,13 +117,7 @@ class ScenarioTask:
     """One scenario as plain picklable data (crosses process bounds)."""
 
     name: str
-    seed: int
-    rounds: int
-    timeout_cycles: int
-    max_retries: int
-    backoff: float
-    step_cycles: int
-    codec_trials: int
+    config: CampaignConfig
     snapshot_blob: bytes
     expected_rows: tuple[tuple[int, bytes], ...]
 
@@ -131,7 +130,7 @@ def _hydrate(task: ScenarioTask, *device_ids: int) -> dict[int, FleetDevice]:
     """Clone the scenario's devices from the golden blob."""
     return hydrate_devices(
         task.snapshot_blob,
-        {device_id: device_key(task.seed, device_id)
+        {device_id: device_key(task.config.seed, device_id)
          for device_id in device_ids},
     )
 
@@ -147,33 +146,34 @@ def _attest(
     verdict rounds, the transport (for stats) and the count of guest
     errors swallowed while stepping (typed errors only — anything
     untyped propagates and fails the campaign)."""
+    config = task.config
     transport = InProcessTransport(
-        seed=task.seed, fault_model=fault_model or FaultModel()
+        seed=config.seed, fault_model=fault_model or FaultModel()
     )
     verifier = FleetVerifier(
         devices,
         transport,
-        {i: device_key(task.seed, i) for i in devices},
+        {i: device_key(config.seed, i) for i in devices},
         list(task.expected_rows),
-        seed=task.seed,
-        timeout_cycles=task.timeout_cycles,
-        max_retries=task.max_retries,
-        backoff=task.backoff,
+        seed=config.seed,
+        timeout_cycles=config.timeout_cycles,
+        max_retries=config.max_retries,
+        backoff=config.backoff,
         metrics=MetricsRegistry(),
     )
     rounds: list[dict] = []
     guest_errors = 0
-    for _ in range(task.rounds):
+    for _ in range(config.rounds):
         verdicts = verifier.run_round()
         rounds.append(
             {
                 str(i): verdicts[i].to_dict() for i in sorted(verdicts)
             }
         )
-        if step and task.step_cycles:
+        if step and config.step_cycles:
             for i in sorted(devices):
                 try:
-                    devices[i].step_cycles(task.step_cycles)
+                    devices[i].step_cycles(config.step_cycles)
                 except ReproError:
                     guest_errors += 1
     return rounds, transport, guest_errors
@@ -321,7 +321,7 @@ def _scenario_snapcodec_corrupt(task, rng):
     """
     violations: list[str] = []
     trials = []
-    for trial in range(task.codec_trials):
+    for trial in range(task.config.codec_trials):
         mode = "truncate" if rng.random() < 0.5 else "flip"
         bad = corrupt_blob(task.snapshot_blob, rng, mode=mode)
         try:
@@ -361,7 +361,7 @@ def _scenario_transport_partition(task, rng):
     never a compromised verdict.
     """
     devices = _hydrate(task, 0, 1)
-    window = (0, task.timeout_cycles)
+    window = (0, task.config.timeout_cycles)
     rounds, transport, _ = _attest(
         task, devices, fault_model=FaultModel(partitions=(window,))
     )
@@ -394,12 +394,13 @@ def _scenario_transport_partition(task, rng):
 def _scenario_transport_flap(task, rng):
     """The link flaps up and down on a seeded schedule."""
     devices = _hydrate(task, 0, 1)
-    horizon = task.timeout_cycles * (task.max_retries + 1) * task.rounds
+    config = task.config
+    horizon = config.timeout_cycles * (config.max_retries + 1) * config.rounds
     windows = flap_windows(
         rng,
         horizon=horizon,
-        up_mean=task.timeout_cycles,
-        down_mean=max(1, task.timeout_cycles // 2),
+        up_mean=config.timeout_cycles,
+        down_mean=max(1, config.timeout_cycles // 2),
     )
     rounds, transport, _ = _attest(
         task, devices, fault_model=FaultModel(partitions=windows)
@@ -413,25 +414,10 @@ def _scenario_transport_flap(task, rng):
     return detail, violations
 
 
-def _ota_artifacts(seed: int):
+def _ota_artifacts(seed: int) -> tuple[bytes, bytes, bytes]:
     """Signed v1/v2 container streams plus the trust root for ``seed``."""
-    from repro.ota.campaign import V2_TIMER_PERIOD, trust_root_key
-    from repro.ota.container import build_container, encode_container
-
-    root = trust_root_key(seed)
-    v1 = encode_container(
-        build_container(
-            build_attestation_image(),
-            image_name="attestation", fw_version=1, signing_key=root,
-        )
-    )
-    v2 = encode_container(
-        build_container(
-            build_attestation_image(timer_period=V2_TIMER_PERIOD),
-            image_name="attestation", fw_version=2, signing_key=root,
-        )
-    )
-    return v1, v2, root
+    v1, v2, root = sign_containers(seed)
+    return encode_container(v1), encode_container(v2), root
 
 
 def _scenario_ota_chunk_corrupt(task, rng):
@@ -443,33 +429,30 @@ def _scenario_ota_chunk_corrupt(task, rng):
     must still land verified on the new version — corruption costs
     retries, never silent acceptance.
     """
-    from repro.ota.campaign import (
-        UPDATED,
-        DeviceUpdateTask,
-        run_device_update,
-    )
-
-    v1, v2, root = _ota_artifacts(task.seed)
+    config = task.config
+    v1, v2, root = _ota_artifacts(config.seed)
     chunk_size = 256
     chunks = (len(v2) + chunk_size - 1) // chunk_size
     corrupt = rng.randrange(chunks)
+    ota_config = OtaConfig(
+        devices=1,
+        seed=config.seed,
+        chunk_size=chunk_size,
+        delay_max=64,
+        timeout_cycles=config.timeout_cycles,
+        max_attempts=config.max_retries + 1,
+        backoff_cycles=4096,
+        corrupt_chunk=corrupt,
+    )
     result = run_device_update(
         DeviceUpdateTask(
             device_id=0,
-            seed=task.seed,
+            config=ota_config,
             snapshot_blob=task.snapshot_blob,
             container_v1=v1,
             container_v2=v2,
             trust_root=root,
-            key=device_key(task.seed, 0),
-            chunk_size=chunk_size,
-            drop_rate=0.0,
-            delay_min=0,
-            delay_max=64,
-            timeout_cycles=task.timeout_cycles,
-            max_attempts=task.max_retries + 1,
-            backoff_cycles=4096,
-            corrupt_chunk=corrupt,
+            key=device_key(config.seed, 0),
             tamper=False,
             action="update",
         )
@@ -504,7 +487,7 @@ def _scenario_ota_rollback_replay(task, rng):
     """
     from repro.errors import ContainerError, RollbackError
 
-    v1, v2, root = _ota_artifacts(task.seed)
+    v1, v2, root = _ota_artifacts(task.config.seed)
     platform = _hydrate(task, 0)[0].platform
     platform.boot_signed(v1, trust_root=root)
     platform.commit_firmware()
@@ -583,7 +566,7 @@ def run_scenario(task: ScenarioTask) -> dict:
     if task.name not in SCENARIOS:
         raise FaultError(f"unknown scenario {task.name!r}")
     kind, runner = SCENARIOS[task.name]
-    rng = FaultPlan(task.seed).rng(f"scenario:{task.name}")
+    rng = FaultPlan(task.config.seed).rng(f"scenario:{task.name}")
     detail, violations = runner(task, rng)
     return {
         "name": task.name,
@@ -600,26 +583,13 @@ def run_scenario(task: ScenarioTask) -> dict:
 
 def build_tasks(config: CampaignConfig) -> list[ScenarioTask]:
     """Boot the golden platform once and freeze every scenario."""
-    golden = TrustLitePlatform()
-    image = build_attestation_image()
-    golden.boot(image)
-    blob = encode_snapshot(Snapshot.save(golden))
-    digests = expected_measurements(image)
-    expected_rows = tuple(
-        (name_tag(name), digests[name]) for name in image.module_order
-    )
+    golden = golden_boot()
     return [
         ScenarioTask(
             name=name,
-            seed=config.seed,
-            rounds=config.rounds,
-            timeout_cycles=config.timeout_cycles,
-            max_retries=config.max_retries,
-            backoff=config.backoff,
-            step_cycles=config.step_cycles,
-            codec_trials=config.codec_trials,
-            snapshot_blob=blob,
-            expected_rows=expected_rows,
+            config=config,
+            snapshot_blob=golden.blob,
+            expected_rows=golden.expected_rows,
         )
         for name in SCENARIO_NAMES
     ]
@@ -642,17 +612,17 @@ def run_campaign(
     """
     tasks = build_tasks(config)
     # Streamed collection: each scenario result is folded the moment
-    # it completes (completion order), dropping the executor's own
-    # ordered-results copy; the final sort restores name order.
+    # it completes (completion order); the final sort restores name
+    # order.
     scenarios: list[dict] = []
     run_resilient(
         run_scenario,
         tasks,
         workers,
+        consume=lambda _index, result: scenarios.append(result),
         task_ids=[task.name for task in tasks],
         policy=policy,
         log=recovery,
-        consume=lambda _index, result: scenarios.append(result),
     )
     scenarios.sort(key=lambda r: r["name"])
     violations = sum(len(r["violations"]) for r in scenarios)

@@ -1,6 +1,6 @@
 """Self-healing execution of plain-data tasks on a worker pool.
 
-The sharded fleet executor and the fault campaign both fan pure
+The sharded fleet executor and the OTA and fault campaigns fan pure
 functions of picklable tasks out to worker processes.  A single
 crashed or hung worker used to kill the whole run — this module wraps
 the pool with the recovery ladder the ROADMAP's "degrades gracefully"
@@ -28,6 +28,10 @@ goal demands:
    deterministic simulated-cycle backoff charge per rebuild, so the
    report's ``execution`` section says what it took to produce it.
 
+Delivery has one mode: every result is streamed to the caller's
+``consume(index, result)`` as it completes — whether it came from a
+worker, an inline retry or a degraded survivor — and then dropped.
+
 A task that raises the same exception :attr:`RetryPolicy.max_attempts`
 times is reported as a typed
 :class:`~repro.errors.ShardExecutionError` carrying the shard id, the
@@ -37,7 +41,7 @@ attempt count and the underlying cause — callers never see a raw
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -65,8 +69,8 @@ class RetryPolicy:
     crashes/hangs before degrading to in-process execution;
     ``timeout_s`` is the per-task wall-clock budget (``None`` =
     unbounded); ``backoff_cycles`` is the *simulated*-cycle charge
-    recorded for rebuild ``k`` as ``backoff_cycles * 2**(k-1)`` —
-    deterministic, never a wall-clock sleep.
+    recorded for rebuild ``k`` as ``backoff_cycles * 2**(k-1)``
+    (:meth:`backoff`) — deterministic, never a wall-clock sleep.
     """
 
     max_attempts: int = 3
@@ -90,6 +94,10 @@ class RetryPolicy:
                 f"backoff_cycles must be >= 0: {self.backoff_cycles}"
             )
 
+    def backoff(self, attempt: int) -> int:
+        """Simulated-cycle backoff charged before retry ``attempt + 1``."""
+        return self.backoff_cycles * 2 ** (attempt - 1)
+
 
 class RecoveryLog:
     """Counted recovery events (a :class:`MetricsRegistry` underneath).
@@ -103,11 +111,8 @@ class RecoveryLog:
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.events: list[dict] = []
 
-    def record(
-        self, kind: str, task_id, attempt: int, *, backoff_cycles: int = 0
-    ) -> None:
+    def record(self, kind: str, *, backoff_cycles: int = 0) -> None:
         if kind not in _KINDS:
             raise FleetError(f"unknown recovery event kind {kind!r}")
         self.metrics.counter(f"executor_{kind}").inc()
@@ -116,14 +121,6 @@ class RecoveryLog:
             self.metrics.counter("executor_backoff_cycles").inc(
                 backoff_cycles
             )
-        self.events.append(
-            {
-                "kind": kind,
-                "task": task_id,
-                "attempt": attempt,
-                "backoff_cycles": backoff_cycles,
-            }
-        )
 
     @property
     def recoveries(self) -> int:
@@ -142,55 +139,27 @@ class RecoveryLog:
         return counters
 
 
-def _run_inline(fn, task, task_id, attempts, policy, log):
-    """Execute ``fn(task)`` in-process with bounded retries."""
-    while True:
-        attempts += 1
-        try:
-            return fn(task)
-        except Exception as exc:
-            if attempts >= policy.max_attempts:
-                raise ShardExecutionError(task_id, attempts, exc) from exc
-            log.record(TASK_RETRY, task_id, attempts)
-
-
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a broken/hung pool without waiting on its workers."""
-    # Snapshot the worker handles first: shutdown() clears _processes.
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    # A *hung* worker never exits on its own; terminate so neither the
-    # executor's management thread nor interpreter exit blocks on it.
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
-
-
 def run_resilient(
     fn,
     tasks: list,
     workers: int,
     *,
+    consume,
     task_ids: list | None = None,
     policy: RetryPolicy | None = None,
     log: RecoveryLog | None = None,
-    consume=None,
-) -> list | None:
-    """Run ``fn`` over every task; results in task order, or raise
-    :class:`ShardExecutionError`.
+) -> None:
+    """Run ``fn`` over every task, streaming each result to
+    ``consume(index, result)``, or raise :class:`ShardExecutionError`.
 
     ``fn`` must be an importable top-level callable and every task a
     pure, picklable value — retries rely on re-execution being
     byte-identical.  ``workers == 1`` (or a single task) runs inline
     with the same retry bounds and no pool at all.
 
-    ``consume`` switches to **streaming** delivery: each result is
-    handed to ``consume(index, result)`` as soon as it completes
-    (completion order, not task order) and then dropped, so the
-    coordinator never holds more than the result being folded — the
-    return value is ``None``.  Folds must therefore be
+    Results arrive in completion order, not task order, and are
+    dropped once ``consume`` returns, so the coordinator never holds
+    more than the result being folded.  Folds must therefore be
     order-independent, which every fleet merge is by construction.
 
     The pool comes from the warm registry in :mod:`repro.fleet.pool`
@@ -207,24 +176,31 @@ def run_resilient(
             f"{len(tasks)} task(s) but {len(ids)} task id(s)"
         )
 
-    results: dict[int, object] | None = None if consume else {}
+    # Attempts spent so far, per unfinished task index.
+    pending: dict[int, int] = {index: 0 for index in range(len(tasks))}
 
-    def _deliver(index: int, result) -> None:
-        if consume is not None:
+    def finish_inline(index: int) -> None:
+        """Run one task in-process with bounded retries."""
+        attempts = pending.pop(index)
+        while True:
+            attempts += 1
+            try:
+                result = fn(tasks[index])
+            except Exception as exc:
+                if attempts >= policy.max_attempts:
+                    raise ShardExecutionError(
+                        ids[index], attempts, exc
+                    ) from exc
+                log.record(TASK_RETRY)
+                continue
             consume(index, result)
-        else:
-            results[index] = result
+            return
 
     if workers == 1 or len(tasks) <= 1:
-        for index, task in enumerate(tasks):
-            _deliver(
-                index, _run_inline(fn, task, ids[index], 0, policy, log)
-            )
-        if consume is not None:
-            return None
-        return [results[index] for index in range(len(tasks))]
+        for index in range(len(tasks)):
+            finish_inline(index)
+        return
 
-    pending: dict[int, int] = {index: 0 for index in range(len(tasks))}
     rebuilds = 0
     while pending:
         pool = get_warm_pool(workers)
@@ -239,7 +215,7 @@ def run_resilient(
                 # crashing task can break the pool while later tasks
                 # are still being submitted.
                 pending[index] += 1
-                log.record(WORKER_CRASH, ids[index], pending[index])
+                log.record(WORKER_CRASH)
                 abandoned = True
             not_done = set(futures)
             while not_done and not abandoned:
@@ -253,7 +229,7 @@ def run_resilient(
                     # earliest task still out is hung.
                     index = min(futures[f] for f in not_done)
                     pending[index] += 1
-                    log.record(TASK_TIMEOUT, ids[index], pending[index])
+                    log.record(TASK_TIMEOUT)
                     abandoned = True
                     break
                 for future in sorted(done, key=lambda f: futures[f]):
@@ -265,9 +241,7 @@ def run_resilient(
                         result = future.result()
                     except BrokenProcessPool:
                         pending[index] += 1
-                        log.record(
-                            WORKER_CRASH, ids[index], pending[index]
-                        )
+                        log.record(WORKER_CRASH)
                         abandoned = True
                         break
                     except Exception as exc:
@@ -277,49 +251,26 @@ def run_resilient(
                             raise ShardExecutionError(
                                 ids[index], pending[index], exc
                             ) from exc
-                        log.record(TASK_RETRY, ids[index], pending[index])
+                        log.record(TASK_RETRY)
                         continue
-                    _deliver(index, result)
                     del pending[index]
+                    consume(index, result)
                     del result, future
         finally:
             if abandoned:
-                _abandon_pool(pool)
                 discard_warm_pool(workers)
-        if not pending:
-            break
-        if abandoned:
-            rebuilds += 1
-            if rebuilds > policy.max_pool_rebuilds:
-                # Pool is unrecoverable; finish the survivors inline.
-                log.record(DEGRADED, None, rebuilds)
-                for index in sorted(pending):
-                    _deliver(
-                        index,
-                        _run_inline(
-                            fn, tasks[index], ids[index],
-                            pending[index], policy, log,
-                        ),
-                    )
-                pending.clear()
-                break
-            log.record(
-                POOL_REBUILD, None, rebuilds,
-                backoff_cycles=policy.backoff_cycles * 2 ** (rebuilds - 1),
-            )
-            # A task that keeps killing workers must not rebuild pools
-            # forever: once it exhausts its attempts, run it inline
-            # now and keep the pool for the healthy remainder.
-            for index in sorted(pending):
-                if pending[index] >= policy.max_attempts:
-                    _deliver(
-                        index,
-                        _run_inline(
-                            fn, tasks[index], ids[index],
-                            pending[index], policy, log,
-                        ),
-                    )
-                    del pending[index]
-    if consume is not None:
-        return None
-    return [results[index] for index in range(len(tasks))]
+        if not abandoned:
+            continue
+        rebuilds += 1
+        degraded = rebuilds > policy.max_pool_rebuilds
+        if degraded:
+            # Pool is unrecoverable; finish the survivors inline.
+            log.record(DEGRADED)
+        else:
+            log.record(POOL_REBUILD, backoff_cycles=policy.backoff(rebuilds))
+        # A task that keeps killing workers must not rebuild pools
+        # forever: once it exhausts its attempts, run it inline now
+        # and keep the pool for the healthy remainder.
+        for index in sorted(pending):
+            if degraded or pending[index] >= policy.max_attempts:
+                finish_inline(index)

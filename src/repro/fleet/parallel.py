@@ -21,12 +21,15 @@ Hard rules that make this safe and reproducible:
   ``fleet-nonce:{seed}:{id}``) and an order-independent merge, verdicts
   and aggregated metrics are byte-identical for 1, 2 or 4 workers.
 * **Workers re-derive host handles.**  A decoded snapshot carries no
-  ``BuiltImage``; workers rebuild it from a registered builder name
-  (cached per process, like the decoded golden snapshot itself).
-* **One hydration path.**  :func:`hydrate_devices` turns the golden
-  blob into keyed, optionally tampered fleet devices; the shard
-  worker, the serving front-end and the fault and OTA campaigns all
-  build their devices through it.
+  ``BuiltImage``; every process builds the attestation image once
+  (:func:`attestation_image`) and caches it, like the decoded golden
+  snapshot itself.
+* **One golden boot, one hydration path.**  :func:`golden_boot` boots
+  the attestation image once and freezes it as a snapshot, its TLSC
+  blob and the expected measurement rows; :func:`hydrate_devices`
+  turns that blob into keyed, optionally tampered fleet devices.  The
+  batch fleet, the serving front-end and the fault and OTA campaigns
+  all prepare and build their devices through these two.
 
 :func:`run_shard` is a pure function of its :class:`ShardTask`, so the
 ``workers=1`` path simply calls it inline — identical results, no pool.
@@ -35,11 +38,16 @@ Inside a shard the verifier steps its devices in one thread.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
+from repro.core.attestation import expected_measurements
+from repro.core.platform import TrustLitePlatform
+from repro.core.trustlet_table import name_tag
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
@@ -48,8 +56,13 @@ from repro.fleet.pool import _CRASH_ENV  # noqa: F401  (re-export)
 from repro.fleet.shm import SharedBlobRef, attach_ref
 from repro.fleet.transport import FaultModel, InProcessTransport
 from repro.fleet.verifier import FleetVerifier
-from repro.machine.snapcodec import decode_snapshot
+from repro.machine.snapcodec import decode_snapshot, encode_snapshot
+from repro.machine.snapshot import Snapshot
 from repro.machine.trace import Tracer
+from repro.sw.images import build_attestation_image
+
+if TYPE_CHECKING:
+    from repro.fleet.service import FleetConfig
 
 ENGINE_FAST = "fast"
 ENGINE_REFERENCE = "reference"
@@ -98,10 +111,7 @@ class ExecutionPlan:
             raise FleetError(
                 f"shard_size must be >= 1: {self.shard_size}"
             )
-        if self.engine not in ENGINES:
-            raise FleetError(
-                f"unknown engine {self.engine!r}; choose from {ENGINES}"
-            )
+        engine_kwargs(self.engine)
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,8 @@ class ShardTask:
     ``snapshot_blob`` is either the encoded golden snapshot itself or
     a :class:`~repro.fleet.shm.SharedBlobRef` naming the shared-memory
     segment the coordinator published it into — the worker decodes the
-    identical bytes either way.
+    identical bytes either way.  ``config`` is the experiment's frozen
+    :class:`~repro.fleet.service.FleetConfig`, shared by every shard.
     """
 
     shard_index: int
@@ -120,16 +131,7 @@ class ShardTask:
     compromised: tuple[int, ...]
     keys: tuple[tuple[int, bytes], ...]
     expected_rows: tuple[tuple[int, bytes], ...]
-    seed: int
-    rounds: int
-    drop_rate: float
-    delay_min: int
-    delay_max: int
-    timeout_cycles: int
-    max_retries: int
-    backoff: float
-    step_cycles: int
-    trace_capacity: int
+    config: FleetConfig
     engine: str
 
 
@@ -150,21 +152,49 @@ def shard_ids(devices: int, shard_size: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
+# The golden image.
+
+
+@functools.cache
+def attestation_image():
+    """This process's attestation image, built once and shared by the
+    golden boot and every hydrated device (tampering needs its layouts).
+    """
+    return build_attestation_image()
+
+
+class GoldenBoot(NamedTuple):
+    """What :func:`golden_boot` freezes for the front-ends."""
+
+    image: object
+    snapshot: Snapshot
+    blob: bytes
+    expected_rows: tuple[tuple[int, bytes], ...]
+
+
+def golden_boot() -> GoldenBoot:
+    """Boot the attestation image once: the image, its post-boot
+    snapshot, the TLSC blob every clone hydrates from and the expected
+    ``(name_tag, digest)`` rows in module order.
+    """
+    image = attestation_image()
+    golden = TrustLitePlatform()
+    golden.boot(image)
+    snapshot = Snapshot.save(golden)
+    digests = expected_measurements(image)
+    rows = tuple(
+        (name_tag(name), digests[name]) for name in image.module_order
+    )
+    return GoldenBoot(image, snapshot, encode_snapshot(snapshot), rows)
+
+
+# ---------------------------------------------------------------------------
 # Worker side.
 
-# Image builders a worker may be asked to re-derive.  Keyed by name so
-# the task stays plain data; extended here as new fleet images appear.
-def _image_builders() -> dict:
-    from repro.sw.images import build_attestation_image
-
-    return {"attestation": build_attestation_image}
-
-
-# Per-process caches: a worker typically runs several shards of the
-# same experiment, and decoding the golden snapshot / assembling the
-# image once per process amortizes across them.
+# Per-process cache: a worker typically runs several shards of the
+# same experiment, and decoding the golden snapshot once per process
+# amortizes across them.
 _SNAPSHOT_CACHE: dict[bytes, object] = {}
-_IMAGE_CACHE: dict[str, object] = {}
 _CACHE_LIMIT = 4
 
 
@@ -175,36 +205,20 @@ def _cached_snapshot(blob):
     that sees the same golden image as bytes and as a shared segment
     still decodes it exactly once.
     """
-    if isinstance(blob, SharedBlobRef):
-        digest = blob.digest
-        snapshot = _SNAPSHOT_CACHE.get(digest)
-        if snapshot is None:
-            if len(_SNAPSHOT_CACHE) >= _CACHE_LIMIT:
-                _SNAPSHOT_CACHE.clear()
-            # Decode straight out of the mapped read-only view — the
-            # stream is never copied into worker heap.
-            snapshot = attach_ref(blob, decode_snapshot)
-            _SNAPSHOT_CACHE[digest] = snapshot
-        return snapshot
-    digest = hashlib.sha256(blob).digest()
+    shared = isinstance(blob, SharedBlobRef)
+    digest = blob.digest if shared else hashlib.sha256(blob).digest()
     snapshot = _SNAPSHOT_CACHE.get(digest)
     if snapshot is None:
         if len(_SNAPSHOT_CACHE) >= _CACHE_LIMIT:
             _SNAPSHOT_CACHE.clear()
-        snapshot = decode_snapshot(blob)
+        # A shared segment decodes straight out of the mapped
+        # read-only view — the stream is never copied into worker heap.
+        snapshot = (
+            attach_ref(blob, decode_snapshot) if shared
+            else decode_snapshot(blob)
+        )
         _SNAPSHOT_CACHE[digest] = snapshot
     return snapshot
-
-
-def _cached_image(name: str):
-    image = _IMAGE_CACHE.get(name)
-    if image is None:
-        builders = _image_builders()
-        if name not in builders:
-            raise FleetError(f"unknown fleet image {name!r}")
-        image = builders[name]()
-        _IMAGE_CACHE[name] = image
-    return image
 
 
 def hydrate_devices(
@@ -226,7 +240,7 @@ def hydrate_devices(
     in ``compromised`` then get their code tampered.
     """
     snapshot = _cached_snapshot(blob)
-    image = _cached_image("attestation")
+    image = attestation_image()
     clone_kwargs = engine_kwargs(engine)
     devices: dict[int, FleetDevice] = {}
     for device_id, key in keys.items():
@@ -318,6 +332,7 @@ def run_shard(task: ShardTask) -> dict:
     process-pool path run exactly this code.
     """
     _maybe_crash_for_test(task.shard_index)
+    config = task.config
     hydrate_started = time.perf_counter()
     keys = dict(task.keys)
     devices = hydrate_devices(
@@ -325,17 +340,17 @@ def run_shard(task: ShardTask) -> dict:
         keys,
         compromised=task.compromised,
         engine=task.engine,
-        trace_capacity=task.trace_capacity,
+        trace_capacity=config.trace_capacity,
     )
     execute_started = time.perf_counter()
 
     metrics = MetricsRegistry()
     transport = InProcessTransport(
-        seed=task.seed,
+        seed=config.seed,
         fault_model=FaultModel(
-            drop_rate=task.drop_rate,
-            delay_min=task.delay_min,
-            delay_max=task.delay_max,
+            drop_rate=config.drop_rate,
+            delay_min=config.delay_min,
+            delay_max=config.delay_max,
         ),
     )
     verifier = FleetVerifier(
@@ -343,15 +358,15 @@ def run_shard(task: ShardTask) -> dict:
         transport,
         keys,
         list(task.expected_rows),
-        seed=task.seed,
-        timeout_cycles=task.timeout_cycles,
-        max_retries=task.max_retries,
-        backoff=task.backoff,
+        seed=config.seed,
+        timeout_cycles=config.timeout_cycles,
+        max_retries=config.max_retries,
+        backoff=config.backoff,
         metrics=metrics,
     )
 
     rounds: list[dict[int, dict]] = []
-    for _round_index in range(task.rounds):
+    for _round_index in range(config.rounds):
         verdicts = verifier.run_round()
         rounds.append(
             {
@@ -359,11 +374,11 @@ def run_shard(task: ShardTask) -> dict:
                 for device_id in sorted(verdicts)
             }
         )
-        if task.step_cycles:
+        if config.step_cycles:
             # Fleet devices keep doing their job between rounds; the
             # guest work is what the engine choice actually speeds up.
             for device_id in sorted(devices):
-                devices[device_id].step_cycles(task.step_cycles)
+                devices[device_id].step_cycles(config.step_cycles)
     for device_id in sorted(devices):
         collect_device_perf(devices[device_id], metrics)
 
@@ -496,10 +511,10 @@ def run_shards(
     tasks: list[ShardTask],
     workers: int,
     *,
+    consume,
     policy: RetryPolicy | None = None,
     recovery: RecoveryLog | None = None,
-    consume=None,
-) -> list[dict] | None:
+) -> None:
     """Execute every shard on ``workers`` processes.
 
     Execution is self-healing (see :mod:`repro.fleet.executor`):
@@ -512,23 +527,19 @@ def run_shards(
     failing raises :class:`~repro.errors.ShardExecutionError` — never
     a raw ``BrokenProcessPool``.
 
-    With ``consume`` (e.g. :meth:`ShardMerger.add`, wrapped to drop
-    the index) each result is streamed out in completion order and
-    dropped; the return value is ``None``.  Without it, results are
-    returned sorted by shard index.  ``workers=1`` runs inline (same
-    pure function, no pool); otherwise the worker pool stays warm
-    across calls.
+    Each result is streamed to ``consume(index, result)`` (e.g.
+    :meth:`ShardMerger.add`, wrapped to drop the index) in completion
+    order and then dropped.  ``workers=1`` runs inline (same pure
+    function, no pool); otherwise the worker pool stays warm across
+    calls.
     """
-    results = run_resilient(
+    run_resilient(
         run_shard,
         list(tasks),
         workers,
+        consume=consume,
         task_ids=[task.shard_index for task in tasks],
         policy=policy,
         log=recovery,
-        consume=consume,
     )
-    if consume is not None:
-        return None
-    return sorted(results, key=lambda result: result["shard"])
 

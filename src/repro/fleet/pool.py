@@ -32,7 +32,7 @@ import atexit
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import FleetError
 
@@ -54,9 +54,7 @@ def _warmup() -> bool:
 @dataclass
 class _PoolEntry:
     pool: ProcessPoolExecutor
-    workers: int
     crash_env: str | None
-    reuses: int = 0
 
 
 @dataclass
@@ -68,14 +66,6 @@ class PoolStats:
     discarded: int = 0
     spinup_seconds: float = 0.0
     last_spinup_seconds: float = 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "created": self.created,
-            "reused": self.reused,
-            "discarded": self.discarded,
-            "spinup_seconds": self.spinup_seconds,
-        }
 
 
 _POOLS: dict[int, _PoolEntry] = {}
@@ -109,7 +99,6 @@ def get_warm_pool(workers: int) -> ProcessPoolExecutor:
     entry = _POOLS.get(workers)
     if entry is not None:
         if _alive(entry) and entry.crash_env == crash_env:
-            entry.reuses += 1
             _STATS.reused += 1
             _STATS.last_spinup_seconds = 0.0
             return entry.pool
@@ -123,9 +112,7 @@ def get_warm_pool(workers: int) -> ProcessPoolExecutor:
     for future in [pool.submit(_warmup) for _ in range(workers)]:
         future.result()
     spinup = time.perf_counter() - started
-    _POOLS[workers] = _PoolEntry(
-        pool=pool, workers=workers, crash_env=crash_env
-    )
+    _POOLS[workers] = _PoolEntry(pool=pool, crash_env=crash_env)
     _STATS.created += 1
     _STATS.spinup_seconds += spinup
     _STATS.last_spinup_seconds = spinup
@@ -133,20 +120,23 @@ def get_warm_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def discard_warm_pool(workers: int) -> None:
-    """Drop the registry entry for ``workers`` (broken/stale pool).
-
-    The caller is responsible for tearing the pool itself down (the
-    executor's abandon path already terminates workers); this only
-    forgets it so the next :func:`get_warm_pool` builds fresh.
+    """Forget the pool for ``workers`` (broken, hung or stale) and tear
+    it down without waiting; the next :func:`get_warm_pool` builds fresh.
     """
     entry = _POOLS.pop(workers, None)
     if entry is None:
         return
     _STATS.discarded += 1
-    try:
-        entry.pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
+    # Snapshot the worker handles first: shutdown() clears _processes.
+    processes = list((entry.pool._processes or {}).values())
+    entry.pool.shutdown(wait=False, cancel_futures=True)
+    # A *hung* worker never exits on its own; terminate so neither the
+    # executor's management thread nor interpreter exit blocks on it.
+    for process in processes:
+        try:
+            process.terminate()
+        except Exception:
+            pass
 
 
 def shutdown_warm_pools() -> None:
@@ -189,7 +179,6 @@ class CostModel:
     alpha: float = 0.4
     per_device_s: float | None = None
     observations: int = 0
-    _history: list = field(default_factory=list)
 
     def observe(self, devices: int, seconds: float) -> None:
         if devices < 1 or seconds <= 0:
@@ -200,7 +189,6 @@ class CostModel:
         else:
             self.per_device_s += self.alpha * (sample - self.per_device_s)
         self.observations += 1
-        self._history.append(sample)
 
 
 _COST_MODEL = CostModel()

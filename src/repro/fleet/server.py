@@ -51,7 +51,10 @@ from repro.crypto.tokens import NONCE_SIZE, NonceSource
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.executor import (
+    DEGRADED,
+    POOL_REBUILD,
     RecoveryLog,
+    RetryPolicy,
     TASK_RETRY,
     WORKER_CRASH,
 )
@@ -196,6 +199,7 @@ class _Dispatched:
 
     batch: QuoteCheckBatch
     done_at: int
+    pool: object = field(default=None, repr=False)
     future: object = field(default=None, repr=False)
     inline: tuple[bool, ...] | None = None
 
@@ -358,7 +362,7 @@ class AttestationService:
             del self._outstanding[key]
             self.metrics.counter("serve_timeouts").inc()
 
-    def _dispatch(self, now: int, loop, pool) -> None:
+    def _dispatch(self, now: int, loop) -> None:
         """Fill free verifier lanes with batches off the queue."""
         config = self.config
         for lane in self._lanes:
@@ -396,24 +400,41 @@ class AttestationService:
             self.metrics.counter("serve_batches").inc()
             self.metrics.counter("serve_checked").inc(len(taken))
             self._batch_count += 1
-            dispatched = _Dispatched(batch=batch, done_at=done_at)
-            if pool is None:
+            dispatched = _Dispatched(
+                batch=batch, done_at=done_at, pool=self._pool
+            )
+            if self._pool is None:
                 dispatched.inline = verify_quote_batch(batch)
             else:
                 try:
                     dispatched.future = loop.run_in_executor(
-                        pool, verify_quote_batch, batch
+                        self._pool, verify_quote_batch, batch
                     )
                 except BrokenProcessPool:
                     # A broken pool rejects at *submit*; check inline
-                    # (pure function — identical verdicts) and let the
-                    # recovery counters say what happened.
-                    self.recovery.record(
-                        WORKER_CRASH, batch.batch_index, 1
-                    )
-                    discard_warm_pool(self.workers)
+                    # (pure function — identical verdicts).
+                    self._pool_broke(self._pool)
                     dispatched.inline = verify_quote_batch(batch)
             self._inflight.append(dispatched)
+
+    def _pool_broke(self, pool) -> None:
+        """One ``worker_crash`` per broken pool, then the executor's
+        rebuild-or-degrade ladder under the default ``RetryPolicy``;
+        batches in flight on a replaced pool add no event."""
+        if pool is not self._pool:
+            return
+        self.recovery.record(WORKER_CRASH)
+        discard_warm_pool(self.workers)
+        policy = RetryPolicy()
+        self._rebuilds += 1
+        if self._rebuilds > policy.max_pool_rebuilds:
+            self.recovery.record(DEGRADED)
+            self._pool = None
+            return
+        self.recovery.record(
+            POOL_REBUILD, backoff_cycles=policy.backoff(self._rebuilds)
+        )
+        self._pool = get_warm_pool(self.workers)
 
     def _fold(self, batch: QuoteCheckBatch, verdicts: tuple) -> None:
         """Fold one checked batch into the running accept/reject state.
@@ -441,16 +462,10 @@ class AttestationService:
         try:
             return dispatched.future.result()
         except BrokenProcessPool:
-            self.recovery.record(
-                WORKER_CRASH, dispatched.batch.batch_index, 1
-            )
-            discard_warm_pool(self.workers)
-            return verify_quote_batch(dispatched.batch)
+            self._pool_broke(dispatched.pool)
         except Exception:
-            self.recovery.record(
-                TASK_RETRY, dispatched.batch.batch_index, 1
-            )
-            return verify_quote_batch(dispatched.batch)
+            self.recovery.record(TASK_RETRY)
+        return verify_quote_batch(dispatched.batch)
 
     def _harvest_ready(self) -> None:
         """Fold every finished batch and drop it (per-tick streaming).
@@ -510,7 +525,10 @@ class AttestationService:
         # Warm pool from the shared registry: spun up at most once per
         # process and reused across service runs and batches; atexit
         # (or discard on breakage) retires it.
-        pool = get_warm_pool(self.workers) if self.workers > 1 else None
+        self._pool = None
+        if self.workers > 1:
+            self._pool = get_warm_pool(self.workers)
+        self._rebuilds = 0
         self._outstanding: dict[tuple[int, int], _Outstanding] = {}
         self._queue: list[_Admitted] = []
         self._lanes = [_Lane() for _ in range(config.pipeline_depth)]
@@ -534,7 +552,7 @@ class AttestationService:
             self._device_turns(now_end)
             self._admit(now_end)
             self._expire(now_end)
-            self._dispatch(now_end, loop, pool)
+            self._dispatch(now_end, loop)
             self._harvest_ready()
             self.metrics.histogram("serve_queue_depth").observe(
                 len(self._queue)

@@ -5,7 +5,10 @@
 
 1. boot **one** golden platform from the attestation image, snapshot it
    and serialize the snapshot to the versioned
-   :mod:`repro.machine.snapcodec` byte format (:func:`prepare_run`);
+   :mod:`repro.machine.snapcodec` byte format
+   (:func:`~repro.fleet.parallel.golden_boot`, shared with the serving,
+   OTA and fault front-ends), then lint it, derive the per-device keys
+   and pick the compromised devices (:func:`prepare_run`);
 2. partition the fleet into shards and hand each shard — the encoded
    golden bytes plus a plain-data task description — to
    :mod:`repro.fleet.parallel`, which hydrates N clones per shard and
@@ -30,9 +33,6 @@ from dataclasses import asdict, dataclass
 
 from repro.analysis import lint_image_cached
 from repro.analysis import SCHEMA as LINT_SCHEMA
-from repro.core.attestation import expected_measurements
-from repro.core.platform import TrustLitePlatform
-from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
 from repro.errors import FleetError
 from repro.fleet.executor import RecoveryLog, RetryPolicy
@@ -40,15 +40,13 @@ from repro.fleet.parallel import (
     ExecutionPlan,
     ShardMerger,
     ShardTask,
+    golden_boot,
     run_shards,
     shard_ids,
 )
 from repro.fleet.pool import adaptive_shard_size, cost_model, pool_stats
 from repro.fleet.shm import SharedBlob
 from repro.fleet.verifier import COMPROMISED, HEALTHY, UNRESPONSIVE
-from repro.machine.snapcodec import encode_snapshot
-from repro.machine.snapshot import Snapshot
-from repro.sw.images import build_attestation_image
 
 #: /3 added the ``lint`` section binding the run to the golden image's
 #: static-analysis verdict and CFG fingerprint; /2 added execution.
@@ -141,14 +139,13 @@ class PreparedRun:
 def prepare_run(config: FleetConfig) -> PreparedRun:
     """Boot the golden platform once and freeze the experiment.
 
-    This is the one-time cost (boot + snapshot + encode + expected
-    measurements); :func:`execute_run` can then be timed on its own.
+    This is the one-time cost (the shared
+    :func:`~repro.fleet.parallel.golden_boot`, plus lint, keys and the
+    compromise choice); :func:`execute_run` can then be timed on its
+    own.
     """
-    golden = TrustLitePlatform()
-    image = build_attestation_image()
-    golden.boot(image)
-    snapshot = Snapshot.save(golden)
-    blob = encode_snapshot(snapshot)
+    golden = golden_boot()
+    image = golden.image
 
     # Lint the golden image exactly once per measurement: every fleet
     # run (and benchmark re-preparation) of the same bytes hits the
@@ -169,21 +166,17 @@ def prepare_run(config: FleetConfig) -> PreparedRun:
             compromise_rng.sample(range(config.devices), config.compromise)
         )
     )
-    digests = expected_measurements(image)
-    expected_rows = tuple(
-        (name_tag(name), digests[name]) for name in image.module_order
-    )
     keys = tuple(
         (device_id, device_key(config.seed, device_id))
         for device_id in range(config.devices)
     )
     return PreparedRun(
         config=config,
-        snapshot_blob=blob,
+        snapshot_blob=golden.blob,
         expected_compromised=expected_compromised,
         keys=keys,
-        expected_rows=expected_rows,
-        memory_bytes=snapshot.memory_bytes,
+        expected_rows=golden.expected_rows,
+        memory_bytes=golden.snapshot.memory_bytes,
         modules=tuple(image.module_order),
         prom_bytes=len(image.prom),
         lint=lint_summary,
@@ -225,37 +218,21 @@ def _shard_tasks(
     config = prepared.config
     keys = dict(prepared.keys)
     compromised = set(prepared.expected_compromised)
-    tasks = []
-    for index, ids in enumerate(
-        shard_ids(config.devices, shard_size)
-    ):
-        tasks.append(
-            ShardTask(
-                shard_index=index,
-                snapshot_blob=blob,
-                device_ids=ids,
-                compromised=tuple(
-                    device_id for device_id in ids
-                    if device_id in compromised
-                ),
-                keys=tuple(
-                    (device_id, keys[device_id]) for device_id in ids
-                ),
-                expected_rows=prepared.expected_rows,
-                seed=config.seed,
-                rounds=config.rounds,
-                drop_rate=config.drop_rate,
-                delay_min=config.delay_min,
-                delay_max=config.delay_max,
-                timeout_cycles=config.timeout_cycles,
-                max_retries=config.max_retries,
-                backoff=config.backoff,
-                step_cycles=config.step_cycles,
-                trace_capacity=config.trace_capacity,
-                engine=engine,
-            )
+    return [
+        ShardTask(
+            shard_index=index,
+            snapshot_blob=blob,
+            device_ids=ids,
+            compromised=tuple(
+                device_id for device_id in ids if device_id in compromised
+            ),
+            keys=tuple((device_id, keys[device_id]) for device_id in ids),
+            expected_rows=prepared.expected_rows,
+            config=config,
+            engine=engine,
         )
-    return tasks
+        for index, ids in enumerate(shard_ids(config.devices, shard_size))
+    ]
 
 
 def _lint_section(prepared: PreparedRun) -> dict:

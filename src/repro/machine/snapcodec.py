@@ -27,8 +27,8 @@ Design points:
   ``Snapshot.boot_report`` are host-side conveniences (the built image
   object, the loader's report); they are deliberately *not* encoded.
   A decoded snapshot carries ``image=None`` / ``boot_report=None`` and
-  the receiving side re-derives them (fleet workers rebuild the image
-  from its registered builder name).
+  the receiving side re-derives them (fleet workers attach their
+  process's cached attestation image).
 """
 
 from __future__ import annotations

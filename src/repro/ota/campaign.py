@@ -3,9 +3,11 @@
 ``run_campaign`` is the one-call entry point behind
 ``python -m repro ota``:
 
-1. boot **one** golden platform, snapshot it, and build two signed
-   TLFW containers — the fleet's current firmware (v1) and the update
-   (v2, same layout with a different OS timer program);
+1. boot **one** golden platform and snapshot it (the fleet's shared
+   :func:`~repro.fleet.parallel.golden_boot`), and sign two TLFW
+   containers (:func:`sign_containers`) — the fleet's current firmware
+   (v1) and the update (v2, same layout with a different OS timer
+   program);
 2. split the fleet into **waves** — canary → cohort → fleet — and for
    each wave push the v2 container to every device: hydrate the clone
    from the golden snapshot, establish the v1 baseline with a signed
@@ -20,8 +22,9 @@
    version — allowed because the floor only advances on commit — and
    stop the campaign.
 
-Every per-device update is a pure function of its plain-data task, so
-waves run on the self-healing executor: worker crashes and pool
+Every per-device update is a pure function of its plain-data task
+(the frozen :class:`OtaConfig` plus the device's id, key and action),
+so waves run on the self-healing executor: worker crashes and pool
 rebuilds are recovered (and recorded under ``execution.recovery``)
 without changing one byte of the report payload.  The ``repro.ota/1``
 report is byte-identical across runs, worker counts and crash-recovery
@@ -36,10 +39,15 @@ from dataclasses import asdict, dataclass
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import mac, sponge_hash
-from repro.errors import ContainerError, FleetError, ReproError
+from repro.errors import FleetError, ReproError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
-from repro.fleet.parallel import _maybe_crash_for_test, hydrate_devices
+from repro.fleet.parallel import (
+    _maybe_crash_for_test,
+    attestation_image,
+    golden_boot,
+    hydrate_devices,
+)
 from repro.fleet.service import _recovery_lines, device_key
 from repro.fleet.transport import (
     ACK,
@@ -49,9 +57,8 @@ from repro.fleet.transport import (
     Message,
 )
 from repro.fleet.verifier import HEALTHY, FleetVerifier
-from repro.machine.snapcodec import encode_snapshot
-from repro.machine.snapshot import Snapshot
 from repro.ota.container import (
+    FirmwareContainer,
     build_container,
     decode_container,
     encode_container,
@@ -82,6 +89,23 @@ def trust_root_key(seed: int) -> bytes:
     return mac(
         sponge_hash(f"ota-root:{seed}".encode("ascii")), b"trust-root"
     )
+
+
+def sign_containers(
+    seed: int,
+) -> tuple[FirmwareContainer, FirmwareContainer, bytes]:
+    """v1 (the golden image) and v2 (:data:`V2_TIMER_PERIOD`) signed
+    under :func:`trust_root_key`, plus that trust root."""
+    root = trust_root_key(seed)
+    v1 = build_container(
+        attestation_image(), image_name="attestation", fw_version=1,
+        signing_key=root,
+    )
+    v2 = build_container(
+        build_attestation_image(timer_period=V2_TIMER_PERIOD),
+        image_name="attestation", fw_version=2, signing_key=root,
+    )
+    return v1, v2, root
 
 
 @dataclass(frozen=True)
@@ -148,6 +172,14 @@ class OtaConfig:
             )
 
 
+def _retry_policy(config: OtaConfig) -> RetryPolicy:
+    """The fleet retry policy for chunk retries and worker recovery."""
+    return RetryPolicy(
+        max_attempts=config.max_attempts,
+        backoff_cycles=config.backoff_cycles,
+    )
+
+
 @dataclass(frozen=True)
 class DeviceUpdateTask:
     """Everything one device's update needs, as plain picklable data.
@@ -156,33 +188,20 @@ class DeviceUpdateTask:
     (replay the update deterministically, then signed-boot back to v1
     and re-attest the old measurements).  ``tamper`` re-creates the
     forced post-install compromise on the replay so rollback heals
-    exactly the state the failed update left behind.
+    exactly the state the failed update left behind.  ``key`` is the
+    device key, derived once by the coordinator.
     """
 
     device_id: int
-    seed: int
+    config: OtaConfig
     snapshot_blob: bytes
     container_v1: bytes
     container_v2: bytes
     trust_root: bytes
     key: bytes
-    chunk_size: int
-    drop_rate: float
-    delay_min: int
-    delay_max: int
-    timeout_cycles: int
-    max_attempts: int
-    backoff_cycles: int
-    corrupt_chunk: int
     tamper: bool
     action: str
     crash_index: int = -1
-
-
-def _hydrate(task: DeviceUpdateTask) -> TrustLitePlatform:
-    """Clone the golden snapshot and key the crypto engine."""
-    devices = hydrate_devices(task.snapshot_blob, {task.device_id: task.key})
-    return devices[task.device_id].platform
 
 
 def _transfer_chunks(
@@ -200,23 +219,21 @@ def _transfer_chunks(
     recovery share one backoff implementation.  Returns the assembled
     container bytes, or ``None`` when a chunk exhausts its attempts.
     """
-    policy = RetryPolicy(
-        max_attempts=task.max_attempts,
-        backoff_cycles=task.backoff_cycles,
-    )
+    config = task.config
+    policy = _retry_policy(config)
     transport = InProcessTransport(
-        seed=f"ota-chunk:{task.seed}",
+        seed=f"ota-chunk:{config.seed}",
         fault_model=FaultModel(
-            drop_rate=task.drop_rate,
-            delay_min=task.delay_min,
-            delay_max=task.delay_max,
+            drop_rate=config.drop_rate,
+            delay_min=config.delay_min,
+            delay_max=config.delay_max,
         ),
     )
     transport.register(task.device_id)
     blob = task.container_v2
     chunks = [
-        blob[start:start + task.chunk_size]
-        for start in range(0, len(blob), task.chunk_size)
+        blob[start:start + config.chunk_size]
+        for start in range(0, len(blob), config.chunk_size)
     ]
     received: dict[int, bytes] = {}
     now = 0
@@ -226,7 +243,7 @@ def _transfer_chunks(
         delivered = False
         for attempt in range(1, policy.max_attempts + 1):
             wire = chunk
-            if task.corrupt_chunk == index and attempt == 1:
+            if config.corrupt_chunk == index and attempt == 1:
                 # In-flight corruption: the payload is damaged but the
                 # digest still describes the real chunk, so the device
                 # must notice and refuse.
@@ -242,7 +259,7 @@ def _transfer_chunks(
                     payload=wire,
                 )
             )
-            horizon = now + task.timeout_cycles
+            horizon = now + config.timeout_cycles
             # Device endpoint turn: integrity-check and ack everything
             # delivered inside this attempt's window.
             for message in transport.poll(
@@ -278,8 +295,8 @@ def _transfer_chunks(
                 delivered = True
                 break
             if attempt < policy.max_attempts:
-                # The executor's rebuild formula, reused verbatim.
-                backoff = policy.backoff_cycles * 2 ** (attempt - 1)
+                # The executor's rebuild formula.
+                backoff = policy.backoff(attempt)
                 stats["chunk_retries"] += 1
                 stats["backoff_cycles"] += backoff
                 now = horizon + backoff
@@ -324,14 +341,15 @@ def _attest(
         (name_tag(m.module), m.digest) for m in container.measurements
     ]
     device = FleetDevice(task.device_id, platform, task.key)
-    transport = InProcessTransport(seed=f"ota-attest:{task.seed}")
+    config = task.config
+    transport = InProcessTransport(seed=f"ota-attest:{config.seed}")
     verifier = FleetVerifier(
         {task.device_id: device},
         transport,
         {task.device_id: task.key},
         rows,
-        seed=task.seed,
-        timeout_cycles=task.timeout_cycles,
+        seed=config.seed,
+        timeout_cycles=config.timeout_cycles,
     )
     verdict = verifier.run_round()[task.device_id]
     return verdict.to_dict()
@@ -350,7 +368,9 @@ def run_device_update(task: DeviceUpdateTask) -> dict:
     verdict; nothing is ever silently accepted.
     """
     _maybe_crash_for_test(task.crash_index)
-    platform = _hydrate(task)
+    platform = hydrate_devices(
+        task.snapshot_blob, {task.device_id: task.key}
+    )[task.device_id].platform
     platform.boot_signed(task.container_v1, trust_root=task.trust_root)
     platform.commit_firmware()
     result = {
@@ -435,42 +455,21 @@ def _wave_plan(config: OtaConfig) -> list[tuple[str, tuple[int, ...]]]:
     return waves
 
 
-def _build_task(
-    config: OtaConfig,
-    device_id: int,
-    *,
-    snapshot_blob: bytes,
-    container_v1: bytes,
-    container_v2: bytes,
-    trust_root: bytes,
-    tamper: bool,
-    action: str,
-) -> DeviceUpdateTask:
-    return DeviceUpdateTask(
-        device_id=device_id,
-        seed=config.seed,
-        snapshot_blob=snapshot_blob,
-        container_v1=container_v1,
-        container_v2=container_v2,
-        trust_root=trust_root,
-        key=device_key(config.seed, device_id),
-        chunk_size=config.chunk_size,
-        drop_rate=config.drop_rate,
-        delay_min=config.delay_min,
-        delay_max=config.delay_max,
-        timeout_cycles=config.timeout_cycles,
-        max_attempts=config.max_attempts,
-        backoff_cycles=config.backoff_cycles,
-        corrupt_chunk=config.corrupt_chunk,
-        tamper=tamper,
-        action=action,
-        crash_index=device_id,
-    )
-
-
 def _fold_transfer(total: dict, transfer: dict) -> None:
     for key, value in transfer.items():
         total[key] = total.get(key, 0) + value
+
+
+def _verdicts(results: dict[int, dict]) -> dict[str, dict]:
+    """Per-device report rows, without the id and transfer stats."""
+    return {
+        str(device_id): {
+            key: value
+            for key, value in results[device_id].items()
+            if key not in ("device", "transfer")
+        }
+        for device_id in sorted(results)
+    }
 
 
 def run_campaign(
@@ -480,42 +479,29 @@ def run_campaign(
     policy: RetryPolicy | None = None,
 ) -> dict:
     """Run the staged campaign; returns the ``repro.ota/1`` report."""
-    golden = TrustLitePlatform()
-    image_v1 = build_attestation_image()
-    golden.boot(image_v1)
-    snapshot_blob = encode_snapshot(Snapshot.save(golden))
-    root = trust_root_key(config.seed)
-    image_v2 = build_attestation_image(timer_period=V2_TIMER_PERIOD)
-    container_v1 = build_container(
-        image_v1, image_name="attestation", fw_version=1,
-        signing_key=root,
-    )
-    container_v2 = build_container(
-        image_v2, image_name="attestation", fw_version=2,
-        signing_key=root,
-    )
+    snapshot_blob = golden_boot().blob
+    container_v1, container_v2, root = sign_containers(config.seed)
     v1_bytes = encode_container(container_v1)
     v2_bytes = encode_container(container_v2)
 
-    policy = policy or RetryPolicy(
-        max_attempts=config.max_attempts,
-        backoff_cycles=config.backoff_cycles,
-    )
+    policy = policy or _retry_policy(config)
     recovery = RecoveryLog()
 
     def tasks_for(
         ids: tuple[int, ...], *, tamper_ids: frozenset[int], action: str
     ) -> list[DeviceUpdateTask]:
         return [
-            _build_task(
-                config,
-                device_id,
+            DeviceUpdateTask(
+                device_id=device_id,
+                config=config,
                 snapshot_blob=snapshot_blob,
                 container_v1=v1_bytes,
                 container_v2=v2_bytes,
                 trust_root=root,
+                key=device_key(config.seed, device_id),
                 tamper=device_id in tamper_ids,
                 action=action,
+                crash_index=device_id,
             )
             for device_id in ids
         ]
@@ -532,10 +518,10 @@ def run_campaign(
             run_device_update,
             tasks,
             workers,
+            consume=collect,
             task_ids=[f"{label}:{task.device_id}" for task in tasks],
             policy=policy,
             log=recovery,
-            consume=collect,
         )
         return results
 
@@ -572,14 +558,7 @@ def run_campaign(
             {
                 "wave": wave_name,
                 "devices": list(ids),
-                "verdicts": {
-                    str(device_id): {
-                        key: value
-                        for key, value in results[device_id].items()
-                        if key not in ("device", "transfer")
-                    }
-                    for device_id in sorted(results)
-                },
+                "verdicts": _verdicts(results),
                 "transfer": transfer_total,
                 "gate": "pass" if gate else "fail",
             }
@@ -611,14 +590,7 @@ def run_campaign(
             "triggered": True,
             "wave": wave_name,
             "devices": list(on_v2),
-            "verdicts": {
-                str(device_id): {
-                    key: value
-                    for key, value in rollback_results[device_id].items()
-                    if key not in ("device", "transfer")
-                }
-                for device_id in sorted(rollback_results)
-            },
+            "verdicts": _verdicts(rollback_results),
         }
         break
 

@@ -1,6 +1,8 @@
 """Tests for the async attestation service (``repro.fleet.server``)."""
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.crypto import mac
 from repro.errors import FleetError
 from repro.fleet.device import quote_material
 from repro.fleet.parallel import QuoteCheckBatch, verify_quote_batch
+from repro.fleet.pool import get_warm_pool
 from repro.fleet.server import (
     SCHEMA,
     AttestationService,
@@ -174,6 +177,35 @@ class TestSnapshotHook:
             small_config(), on_snapshot=seen.append
         )
         assert seen == report["timeline"]
+
+
+class TestWorkerCrash:
+    """A pool worker killed mid-run costs one crash and one rebuild."""
+
+    CONFIG = ServiceConfig(
+        devices=6, seed=5, compromise=1, duration_cycles=20_000,
+        rate_per_kcycle=3.0, drop_rate=0.1,
+    )
+
+    def test_killed_worker_is_recovered_once(self):
+        killed = []
+
+        def kill_one_worker(entry):
+            if killed or entry["batches"] < 2:
+                return
+            pid = next(iter(get_warm_pool(2)._processes))
+            os.kill(pid, signal.SIGKILL)
+            killed.append(pid)
+
+        disturbed = run_service(
+            self.CONFIG, workers=2, on_snapshot=kill_one_worker
+        )
+        assert killed
+        recovery = disturbed["execution"]["recovery"]
+        assert recovery["worker_crash"] == 1
+        assert recovery["pool_rebuild"] == 1
+        assert recovery["degraded"] == 0
+        assert canonical(disturbed) == canonical(run_service(self.CONFIG))
 
 
 class TestFormatServeReport:

@@ -13,7 +13,7 @@ from repro.fleet import (
     prepare_run,
     run_fleet,
 )
-from repro.fleet.parallel import _cached_image, _cached_snapshot
+from repro.fleet.parallel import _cached_snapshot, attestation_image
 from repro.fleet.service import SCHEMA
 
 
@@ -44,7 +44,7 @@ class TestHydrateDevices:
             trace_capacity=16,
         )
         snapshot = _cached_snapshot(prepared.snapshot_blob)
-        image = _cached_image("attestation")
+        image = attestation_image()
         assert set(devices) == {0, 1, 2}
         assert snapshot.memory_bytes > 0
         assert "ATTEST" in image.module_order
