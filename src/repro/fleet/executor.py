@@ -111,8 +111,11 @@ class RecoveryLog:
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
+        self.events: list[dict] = []
 
-    def record(self, kind: str, *, backoff_cycles: int = 0) -> None:
+    def record(
+        self, kind: str, task_id, attempt: int, *, backoff_cycles: int = 0
+    ) -> None:
         if kind not in _KINDS:
             raise FleetError(f"unknown recovery event kind {kind!r}")
         self.metrics.counter(f"executor_{kind}").inc()
@@ -121,6 +124,24 @@ class RecoveryLog:
             self.metrics.counter("executor_backoff_cycles").inc(
                 backoff_cycles
             )
+        self.events.append(dict(
+            kind=kind, task=task_id, attempt=attempt,
+            backoff_cycles=backoff_cycles,
+        ))
+
+    def pool_broke(self, policy: RetryPolicy, rebuilds: int) -> bool:
+        """One step of the rebuild-or-degrade ladder for the
+        ``rebuilds``-th broken pool: record ``POOL_REBUILD`` with its
+        backoff, or ``DEGRADED`` once ``max_pool_rebuilds`` is spent.
+        Returns whether the caller must finish inline."""
+        if rebuilds > policy.max_pool_rebuilds:
+            self.record(DEGRADED, None, rebuilds)
+            return True
+        self.record(
+            POOL_REBUILD, None, rebuilds,
+            backoff_cycles=policy.backoff(rebuilds),
+        )
+        return False
 
     @property
     def recoveries(self) -> int:
@@ -191,7 +212,7 @@ def run_resilient(
                     raise ShardExecutionError(
                         ids[index], attempts, exc
                     ) from exc
-                log.record(TASK_RETRY)
+                log.record(TASK_RETRY, ids[index], attempts)
                 continue
             consume(index, result)
             return
@@ -215,7 +236,7 @@ def run_resilient(
                 # crashing task can break the pool while later tasks
                 # are still being submitted.
                 pending[index] += 1
-                log.record(WORKER_CRASH)
+                log.record(WORKER_CRASH, ids[index], pending[index])
                 abandoned = True
             not_done = set(futures)
             while not_done and not abandoned:
@@ -229,7 +250,7 @@ def run_resilient(
                     # earliest task still out is hung.
                     index = min(futures[f] for f in not_done)
                     pending[index] += 1
-                    log.record(TASK_TIMEOUT)
+                    log.record(TASK_TIMEOUT, ids[index], pending[index])
                     abandoned = True
                     break
                 for future in sorted(done, key=lambda f: futures[f]):
@@ -241,7 +262,9 @@ def run_resilient(
                         result = future.result()
                     except BrokenProcessPool:
                         pending[index] += 1
-                        log.record(WORKER_CRASH)
+                        log.record(
+                            WORKER_CRASH, ids[index], pending[index]
+                        )
                         abandoned = True
                         break
                     except Exception as exc:
@@ -251,7 +274,7 @@ def run_resilient(
                             raise ShardExecutionError(
                                 ids[index], pending[index], exc
                             ) from exc
-                        log.record(TASK_RETRY)
+                        log.record(TASK_RETRY, ids[index], pending[index])
                         continue
                     del pending[index]
                     consume(index, result)
@@ -262,12 +285,8 @@ def run_resilient(
         if not abandoned:
             continue
         rebuilds += 1
-        degraded = rebuilds > policy.max_pool_rebuilds
-        if degraded:
-            # Pool is unrecoverable; finish the survivors inline.
-            log.record(DEGRADED)
-        else:
-            log.record(POOL_REBUILD, backoff_cycles=policy.backoff(rebuilds))
+        # Once the pool is unrecoverable, every survivor runs inline.
+        degraded = log.pool_broke(policy, rebuilds)
         # A task that keeps killing workers must not rebuild pools
         # forever: once it exhausts its attempts, run it inline now
         # and keep the pool for the healthy remainder.

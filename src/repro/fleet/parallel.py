@@ -25,8 +25,8 @@ Hard rules that make this safe and reproducible:
   (:func:`attestation_image`) and caches it, like the decoded golden
   snapshot itself.
 * **One golden boot, one hydration path.**  :func:`golden_boot` boots
-  the attestation image once and freezes it as a snapshot, its TLSC
-  blob and the expected measurement rows; :func:`hydrate_devices`
+  the attestation image once and freezes it as a TLSC snapshot blob
+  and the expected measurement rows; :func:`hydrate_devices`
   turns that blob into keyed, optionally tampered fleet devices.  The
   batch fleet, the serving front-end and the fault and OTA campaigns
   all prepare and build their devices through these two.
@@ -166,16 +166,15 @@ def attestation_image():
 class GoldenBoot(NamedTuple):
     """What :func:`golden_boot` freezes for the front-ends."""
 
-    image: object
-    snapshot: Snapshot
     blob: bytes
     expected_rows: tuple[tuple[int, bytes], ...]
+    memory_bytes: int
 
 
 def golden_boot() -> GoldenBoot:
-    """Boot the attestation image once: the image, its post-boot
-    snapshot, the TLSC blob every clone hydrates from and the expected
-    ``(name_tag, digest)`` rows in module order.
+    """Boot :func:`attestation_image` once: the TLSC blob every clone
+    hydrates from, the expected ``(name_tag, digest)`` rows in module
+    order and the post-boot snapshot's memory size.
     """
     image = attestation_image()
     golden = TrustLitePlatform()
@@ -185,7 +184,7 @@ def golden_boot() -> GoldenBoot:
     rows = tuple(
         (name_tag(name), digests[name]) for name in image.module_order
     )
-    return GoldenBoot(image, snapshot, encode_snapshot(snapshot), rows)
+    return GoldenBoot(encode_snapshot(snapshot), rows, snapshot.memory_bytes)
 
 
 # ---------------------------------------------------------------------------

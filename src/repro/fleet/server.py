@@ -51,8 +51,6 @@ from repro.crypto.tokens import NONCE_SIZE, NonceSource
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.executor import (
-    DEGRADED,
-    POOL_REBUILD,
     RecoveryLog,
     RetryPolicy,
     TASK_RETRY,
@@ -413,28 +411,23 @@ class AttestationService:
                 except BrokenProcessPool:
                     # A broken pool rejects at *submit*; check inline
                     # (pure function — identical verdicts).
-                    self._pool_broke(self._pool)
+                    self._pool_broke(self._pool, batch.batch_index)
                     dispatched.inline = verify_quote_batch(batch)
             self._inflight.append(dispatched)
 
-    def _pool_broke(self, pool) -> None:
+    def _pool_broke(self, pool, batch_index: int) -> None:
         """One ``worker_crash`` per broken pool, then the executor's
         rebuild-or-degrade ladder under the default ``RetryPolicy``;
         batches in flight on a replaced pool add no event."""
         if pool is not self._pool:
             return
-        self.recovery.record(WORKER_CRASH)
+        self.recovery.record(WORKER_CRASH, batch_index, 1)
         discard_warm_pool(self.workers)
-        policy = RetryPolicy()
         self._rebuilds += 1
-        if self._rebuilds > policy.max_pool_rebuilds:
-            self.recovery.record(DEGRADED)
+        if self.recovery.pool_broke(RetryPolicy(), self._rebuilds):
             self._pool = None
-            return
-        self.recovery.record(
-            POOL_REBUILD, backoff_cycles=policy.backoff(self._rebuilds)
-        )
-        self._pool = get_warm_pool(self.workers)
+        else:
+            self._pool = get_warm_pool(self.workers)
 
     def _fold(self, batch: QuoteCheckBatch, verdicts: tuple) -> None:
         """Fold one checked batch into the running accept/reject state.
@@ -462,9 +455,9 @@ class AttestationService:
         try:
             return dispatched.future.result()
         except BrokenProcessPool:
-            self._pool_broke(dispatched.pool)
+            self._pool_broke(dispatched.pool, dispatched.batch.batch_index)
         except Exception:
-            self.recovery.record(TASK_RETRY)
+            self.recovery.record(TASK_RETRY, dispatched.batch.batch_index, 1)
         return verify_quote_batch(dispatched.batch)
 
     def _harvest_ready(self) -> None:

@@ -40,6 +40,7 @@ from repro.fleet.parallel import (
     ExecutionPlan,
     ShardMerger,
     ShardTask,
+    attestation_image,
     golden_boot,
     run_shards,
     shard_ids,
@@ -145,7 +146,7 @@ def prepare_run(config: FleetConfig) -> PreparedRun:
     own.
     """
     golden = golden_boot()
-    image = golden.image
+    image = attestation_image()
 
     # Lint the golden image exactly once per measurement: every fleet
     # run (and benchmark re-preparation) of the same bytes hits the
@@ -176,7 +177,7 @@ def prepare_run(config: FleetConfig) -> PreparedRun:
         expected_compromised=expected_compromised,
         keys=keys,
         expected_rows=golden.expected_rows,
-        memory_bytes=golden.snapshot.memory_bytes,
+        memory_bytes=golden.memory_bytes,
         modules=tuple(image.module_order),
         prom_bytes=len(image.prom),
         lint=lint_summary,

@@ -102,9 +102,9 @@ class TestRetryPolicy:
 class TestRecoveryLog:
     def test_counts_and_dict_shape(self):
         log = RecoveryLog()
-        log.record(WORKER_CRASH)
-        log.record(POOL_REBUILD, backoff_cycles=4096)
-        log.record(TASK_RETRY)
+        log.record(WORKER_CRASH, "s0", 1)
+        log.record(POOL_REBUILD, None, 1, backoff_cycles=4096)
+        log.record(TASK_RETRY, "s0", 2)
         counters = log.to_dict()
         assert counters["worker_crash"] == 1
         assert counters["pool_rebuild"] == 1
@@ -114,10 +114,11 @@ class TestRecoveryLog:
         assert counters["recoveries"] == 3
         assert counters["backoff_cycles"] == 4096
         assert log.recoveries == 3
+        assert len(log.events) == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(FleetError):
-            RecoveryLog().record("meteor_strike")
+            RecoveryLog().record("meteor_strike", "s0", 1)
 
 
 class TestRunResilient:
