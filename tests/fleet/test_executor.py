@@ -116,6 +116,18 @@ class TestRecoveryLog:
         assert log.recoveries == 3
         assert len(log.events) == 3
 
+    def test_pool_broke_rebuilds_then_degrades(self):
+        log = RecoveryLog()
+        policy = RetryPolicy(max_pool_rebuilds=2, backoff_cycles=100)
+        assert [log.pool_broke(policy, k) for k in (1, 2, 3)] == [
+            False, False, True,
+        ]
+        counters = log.to_dict()
+        assert counters["pool_rebuild"] == 2
+        assert counters["degraded"] == 1
+        assert counters["backoff_cycles"] == 100 + 200
+        assert [event["attempt"] for event in log.events] == [1, 2, 3]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(FleetError):
             RecoveryLog().record("meteor_strike", "s0", 1)
