@@ -7,19 +7,26 @@ software ISR is responsible for saving any general-purpose registers it
 uses — which is precisely the information-leak channel Sec. 3.4.1
 identifies.
 
-The secure engine (Fig. 4) extends that flow.  When the interrupted
-instruction lies inside a non-OS row of the Trustlet Table it:
+Both engines share one entry flow, :meth:`RegularExceptionEngine._enter`:
+a context-save step yields the frame's flags word, return IP and entry
+cycles; the frame ``[error words...][return ip][flags]`` is then stored
+below the stack pointer as one block and the engine vectors to the
+handler.  The secure engine (Fig. 4) overrides only the context-save
+step.  When the interrupted instruction lies inside a non-OS row of the
+Trustlet Table it:
 
-1. pushes the *complete* CPU state (saved IP, flags, and the 15 GPRs
-   other than SP) onto the trustlet's current stack,
+1. spills the *complete* CPU state (the 15 GPRs other than SP, flags
+   and saved IP, in :func:`repro.core.layout.resume_frame` order) onto
+   the trustlet's current stack as one block,
 2. stores the resulting stack pointer into the trustlet's table row and
    clears every general-purpose register,
 3. switches to the OS stack (the saved SP of the table's OS row) and
-   builds a regular-looking frame there whose return IP is *sanitized*
-   to the trustlet's ``continue()`` entry vector — so an ISR that simply
+   hands back a regular-looking frame whose return IP is *sanitized* to
+   the trustlet's ``continue()`` entry vector — so an ISR that simply
    IRETs transparently resumes the trustlet, and the OS never observes
-   the trustlet's registers or true interruption point,
-4. vectors to the handler as usual.
+   the trustlet's registers or true interruption point.
+
+The shared flow then builds that frame on the OS stack and vectors.
 
 Cycle accounting reproduces Sec. 5.4 exactly: the regular entry flow
 costs :data:`REGULAR_ENTRY_CYCLES` = 21; the secure engine adds
@@ -32,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core import layout
+from repro.core.trustlet_table import TrustletTable
 from repro.errors import (
     InvalidInstruction,
     MachineError,
@@ -39,7 +48,6 @@ from repro.errors import (
 )
 from repro.machine.cpu import Cpu, CpuFlags
 from repro.machine.irq import Interrupt
-from repro.core.trustlet_table import TrustletRow, TrustletTable
 
 REGULAR_ENTRY_CYCLES = 21
 SECURE_DETECT_CYCLES = 2
@@ -88,37 +96,27 @@ class RegularExceptionEngine:
         self.exception_vectors[vector] = handler
 
     # ------------------------------------------------------------------
-    # Hardware-path stack access (bypasses the MPU by construction).
+    # The entry flow.  Stack accesses are hardware-path bus accesses
+    # (they bypass the MPU by construction).
 
-    @staticmethod
-    def _push(cpu: Cpu, value: int) -> None:
-        cpu.sp = cpu.sp - 4
-        cpu.bus.write_word(cpu.sp, value & 0xFFFF_FFFF)
-
-    @staticmethod
-    def _pop(cpu: Cpu) -> int:
-        value = cpu.bus.read_word(cpu.sp)
-        cpu.sp = cpu.sp + 4
-        return value
-
-    # ------------------------------------------------------------------
-    # Entry flows.
+    def _save_context(self, cpu: Cpu) -> tuple[int, int, int]:
+        """Context-save step: the frame's flags word and return IP, and
+        the entry's cycle cost.  The regular engine saves nothing."""
+        return cpu.flags.to_word(), cpu.ip, REGULAR_ENTRY_CYCLES
 
     def _enter(self, cpu: Cpu, handler: int, error_words: tuple[int, ...]) -> int:
-        """Common frame build: [flags][return ip][error words...]."""
-        self._push(cpu, cpu.flags.to_word())
-        self._push(cpu, cpu.ip)
-        for word in error_words:
-            self._push(cpu, word)
+        """Save context, push [error words...][return ip][flags], vector."""
+        flags, return_ip, cycles = self._save_context(cpu)
+        frame = (*reversed(error_words), return_ip, flags)
+        sp = cpu.sp - layout.WORD * len(frame)
+        layout.write_words(cpu.bus, sp, frame)
+        cpu.sp = sp
         cpu.flags.ie = False
         cpu.ip = handler
         cpu.curr_ip = handler
-        self._account(REGULAR_ENTRY_CYCLES)
-        return REGULAR_ENTRY_CYCLES
-
-    def _account(self, cycles: int) -> None:
         self.stats.engine_cycles += cycles
         self.stats.last_entry_cycles = cycles
+        return cycles
 
     def _handler_for_irq(self, interrupt: Interrupt) -> int:
         if interrupt.handler is not None:
@@ -164,8 +162,10 @@ class RegularExceptionEngine:
 
     def iret(self, cpu: Cpu) -> int:
         """Return from exception: pop return IP, then flags."""
-        cpu.ip = self._pop(cpu)
-        cpu.flags = CpuFlags.from_word(self._pop(cpu))
+        return_ip, flags = layout.read_words(cpu.bus, cpu.sp, 2)
+        cpu.sp = cpu.sp + 2 * layout.WORD
+        cpu.ip = return_ip
+        cpu.flags = CpuFlags.from_word(flags)
         return IRET_CYCLES
 
 
@@ -176,89 +176,33 @@ class SecureExceptionEngine(RegularExceptionEngine):
         super().__init__()
         self.table = table
 
-    def _interrupted_trustlet(self, cpu: Cpu) -> TrustletRow | None:
+    def _save_context(self, cpu: Cpu) -> tuple[int, int, int]:
         row = self.table.row_for_ip(cpu.curr_ip)
-        if row is not None and not row.is_os:
-            return row
-        return None
-
-    def _spill_trustlet_state(self, cpu: Cpu, row: TrustletRow) -> None:
+        if row is None or row.is_os:
+            # Not a trustlet: the regular save plus the detection cost.
+            flags, return_ip, cycles = super()._save_context(cpu)
+            return flags, return_ip, cycles + SECURE_DETECT_CYCLES
+        self.stats.trustlet_interruptions += 1
         # Step 1 (Fig. 4): the complete CPU state goes onto the
-        # *trustlet's* stack.  Push order matches the trustlet's
-        # continue() prologue: saved IP deepest, then flags, then
-        # fp, lr, r12..r0 so r0 ends on top.
-        self._push(cpu, cpu.ip)
-        self._push(cpu, cpu.flags.to_word())
-        for reg_index in (14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0):
-            self._push(cpu, cpu.regs[reg_index])
+        # *trustlet's* stack, in the order its continue() prologue pops.
+        sp = cpu.sp - layout.WORD * layout.RESUME_FRAME_WORDS
+        layout.write_words(
+            cpu.bus, sp,
+            layout.resume_frame(cpu.regs, cpu.flags.to_word(), cpu.ip),
+        )
         # Step 2: saved SP into the Trustlet Table, registers cleared.
-        self.table.write_saved_sp(row.index, cpu.sp)
+        self.table.write_saved_sp(row.index, sp)
         cpu.clear_gprs()
-
-    def _switch_to_os_stack(self, cpu: Cpu) -> None:
+        # Step 3: the OS stack, with the return IP sanitized to the
+        # trustlet's entry vector.
         os_row = self.table.os_row()
         if os_row is None:
             raise MachineError(
                 "secure exception engine: trustlet table has no OS row"
             )
         cpu.sp = os_row.saved_sp
-
-    def _secure_enter(
-        self, cpu: Cpu, handler: int, error_words: tuple[int, ...]
-    ) -> int:
-        row = self._interrupted_trustlet(cpu)
-        if row is None:
-            # Not a trustlet: regular flow plus the detection cost.
-            cycles = self._enter(cpu, handler, error_words)
-            self._account_extra(SECURE_DETECT_CYCLES)
-            return cycles + SECURE_DETECT_CYCLES
-        self.stats.trustlet_interruptions += 1
-        self._spill_trustlet_state(cpu, row)
-        self._switch_to_os_stack(cpu)
-        # Step 3 continued: regular-looking frame on the OS stack with
-        # the return IP sanitized to the trustlet's entry vector.
-        self._push(cpu, CpuFlags(ie=True).to_word())
-        self._push(cpu, row.entry)
-        for word in error_words:
-            self._push(cpu, word)
-        cpu.flags.ie = False
-        cpu.ip = handler
-        cpu.curr_ip = handler
-        cycles = (
-            REGULAR_ENTRY_CYCLES
-            + SECURE_DETECT_CYCLES
-            + SECURE_SAVE_CYCLES
-            + SECURE_CLEAR_CYCLES
-        )
-        self._account(cycles)
-        return cycles
-
-    def _account_extra(self, cycles: int) -> None:
-        self.stats.engine_cycles += cycles
-        self.stats.last_entry_cycles += cycles
-
-    def deliver_interrupt(self, cpu: Cpu, interrupt: Interrupt) -> int:
-        self.stats.interrupts += 1
-        return self._secure_enter(cpu, self._handler_for_irq(interrupt), ())
-
-    def deliver_fault(self, cpu: Cpu, fault: MemoryProtectionFault) -> int:
-        self.stats.faults += 1
-        return self._secure_enter(
-            cpu,
-            self._handler_for_exception(VEC_FAULT),
-            (fault.address, ERR_MPU_FAULT),
-        )
-
-    def deliver_invalid(self, cpu: Cpu, bad: InvalidInstruction) -> int:
-        self.stats.faults += 1
-        return self._secure_enter(
-            cpu,
-            self._handler_for_exception(VEC_INVALID),
-            (bad.ip or 0, ERR_INVALID_INSTRUCTION),
-        )
-
-    def deliver_software(self, cpu: Cpu, number: int) -> int:
-        self.stats.software += 1
-        return self._secure_enter(
-            cpu, self._handler_for_exception(VEC_SOFTWARE), (number,)
+        return (
+            CpuFlags(ie=True).to_word(), row.entry,
+            REGULAR_ENTRY_CYCLES + SECURE_DETECT_CYCLES
+            + SECURE_SAVE_CYCLES + SECURE_CLEAR_CYCLES,
         )

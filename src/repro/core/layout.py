@@ -9,6 +9,9 @@ into PROM.
 
 from __future__ import annotations
 
+import struct
+
+from repro.errors import AlignmentError
 from repro.machine import soc as socmap
 
 # ---------------------------------------------------------------------
@@ -44,3 +47,36 @@ WORD = 4
 # The secure exception engine spills: saved IP, saved FLAGS, and the 15
 # GPRs other than SP (r0..r12, lr, fp) — 17 words (Fig. 4 step 1).
 RESUME_FRAME_WORDS = 17
+
+
+def resume_frame(gprs, flags: int, ip: int) -> tuple[int, ...]:
+    """The resume frame in ``continue()`` pop order, lowest address
+    first: r0..r12, lr, fp (``gprs[0:15]``), FLAGS, IP.
+
+    The secure exception engine spills an interrupted trustlet in this
+    order and the Secure Loader fakes each trustlet's first frame in it.
+    """
+    return (*gprs[:15], flags, ip)
+
+
+def _check_aligned(address: int) -> None:
+    if address % WORD:
+        raise AlignmentError(
+            f"unaligned word access at {address:#010x}", address=address
+        )
+
+
+def write_words(bus, address: int, words) -> None:
+    """Store 32-bit ``words`` upward from ``address`` as one bus block,
+    after the alignment check a single word store makes."""
+    _check_aligned(address)
+    bus.write_bytes(
+        address,
+        struct.pack(f"<{len(words)}I", *(w & 0xFFFF_FFFF for w in words)),
+    )
+
+
+def read_words(bus, address: int, count: int) -> tuple[int, ...]:
+    """Load ``count`` 32-bit words upward from ``address`` as one block."""
+    _check_aligned(address)
+    return struct.unpack(f"<{count}I", bus.read_bytes(address, WORD * count))

@@ -459,16 +459,14 @@ class SecureLoader:
     def _build_initial_frame(
         self, module: ParsedModule, stack_top: int, report: BootReport
     ) -> int:
-        """Fake an interrupted-at-main frame (pop order: r0..r12,lr,fp,flags,ip)."""
-        cursor = stack_top
-        cursor -= 4
-        self._write_word(report, cursor, module.init_ip)
-        cursor -= 4
-        self._write_word(report, cursor, CpuFlags(ie=True).to_word())
-        for _ in range(15):  # fp, lr, r12..r0 all start as zero
-            cursor -= 4
-            self._write_word(report, cursor, 0)
-        return cursor
+        """Fake an interrupted-at-main frame: zeroed GPRs, interrupts on."""
+        frame = layout.resume_frame(
+            (0,) * 15, CpuFlags(ie=True).to_word(), module.init_ip
+        )
+        saved_sp = stack_top - layout.WORD * len(frame)
+        layout.write_words(self.bus, saved_sp, frame)
+        report.memory_words_written += len(frame)
+        return saved_sp
 
     # ------------------------------------------------------------------
 

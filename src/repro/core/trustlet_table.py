@@ -30,6 +30,7 @@ Row layout (16 words, 64 bytes)::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.errors import PlatformError
@@ -55,18 +56,9 @@ OFF_STACK_END = 36
 OFF_MEASUREMENT = 40
 MEASUREMENT_SIZE = 16
 
-# Backwards-compatible aliases used inside this module.
-_OFF_ID = OFF_ID
-_OFF_FLAGS = OFF_FLAGS
-_OFF_CODE_BASE = OFF_CODE_BASE
-_OFF_CODE_END = OFF_CODE_END
-_OFF_ENTRY = OFF_ENTRY
-_OFF_SAVED_SP = OFF_SAVED_SP
-_OFF_DATA_BASE = OFF_DATA_BASE
-_OFF_DATA_END = OFF_DATA_END
-_OFF_STACK_BASE = OFF_STACK_BASE
-_OFF_STACK_END = OFF_STACK_END
-_OFF_MEASUREMENT = OFF_MEASUREMENT
+# The ten row words and the measurement as one block; the two reserved
+# words after it are never written.
+_ROW = struct.Struct(f"<10I{MEASUREMENT_SIZE}s")
 
 
 def name_tag(name: str) -> int:
@@ -157,21 +149,17 @@ class TrustletTable:
             raise PlatformError(
                 f"trustlet table full ({self.capacity} rows)"
             )
-        row = self._row_base(index)
-        self.bus.write_word(row + _OFF_ID, name_tag(name))
-        self.bus.write_word(row + _OFF_FLAGS, FLAG_OS if is_os else 0)
-        self.bus.write_word(row + _OFF_CODE_BASE, code_base)
-        self.bus.write_word(row + _OFF_CODE_END, code_end)
-        self.bus.write_word(row + _OFF_ENTRY, entry)
-        self.bus.write_word(row + _OFF_SAVED_SP, saved_sp)
-        self.bus.write_word(row + _OFF_DATA_BASE, data_base)
-        self.bus.write_word(row + _OFF_DATA_END, data_end)
-        self.bus.write_word(row + _OFF_STACK_BASE, stack_base)
-        self.bus.write_word(row + _OFF_STACK_END, stack_end)
-        padded = measurement.ljust(MEASUREMENT_SIZE, b"\x00")
-        if len(padded) != MEASUREMENT_SIZE:
+        if len(measurement) > MEASUREMENT_SIZE:
             raise PlatformError("measurement must be at most 16 bytes")
-        self.bus.write_bytes(row + _OFF_MEASUREMENT, padded)
+        words = (
+            name_tag(name), FLAG_OS if is_os else 0, code_base, code_end,
+            entry, saved_sp, data_base, data_end, stack_base, stack_end,
+        )
+        # Bus word stores keep the low 32 bits; so does the row block.
+        self.bus.write_bytes(
+            self._row_base(index),
+            _ROW.pack(*(w & 0xFFFF_FFFF for w in words), measurement),
+        )
         self.bus.write_word(self.base, index + 1)
         return index
 
@@ -188,20 +176,7 @@ class TrustletTable:
         if index >= self.count:
             raise PlatformError(f"trustlet table row {index} not populated")
         return TrustletRow(
-            index=index,
-            name_tag=self.bus.read_word(base + _OFF_ID),
-            flags=self.bus.read_word(base + _OFF_FLAGS),
-            code_base=self.bus.read_word(base + _OFF_CODE_BASE),
-            code_end=self.bus.read_word(base + _OFF_CODE_END),
-            entry=self.bus.read_word(base + _OFF_ENTRY),
-            saved_sp=self.bus.read_word(base + _OFF_SAVED_SP),
-            data_base=self.bus.read_word(base + _OFF_DATA_BASE),
-            data_end=self.bus.read_word(base + _OFF_DATA_END),
-            stack_base=self.bus.read_word(base + _OFF_STACK_BASE),
-            stack_end=self.bus.read_word(base + _OFF_STACK_END),
-            measurement=self.bus.read_bytes(
-                base + _OFF_MEASUREMENT, MEASUREMENT_SIZE
-            ),
+            index, *_ROW.unpack(self.bus.read_bytes(base, _ROW.size))
         )
 
     def rows(self) -> list[TrustletRow]:
@@ -238,8 +213,8 @@ class TrustletTable:
         this address; the image builder bakes it into their code as a
         constant (the paper's loader instead rewrites the code).
         """
-        return self._row_base(index) + _OFF_SAVED_SP
+        return self._row_base(index) + OFF_SAVED_SP
 
     def write_saved_sp(self, index: int, value: int) -> None:
         """Hardware write of a trustlet's saved stack pointer."""
-        self.bus.write_word(self._row_base(index) + _OFF_SAVED_SP, value)
+        self.bus.write_word(self._row_base(index) + OFF_SAVED_SP, value)

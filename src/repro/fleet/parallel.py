@@ -54,7 +54,7 @@ from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.pool import _CRASH_ENV  # noqa: F401  (re-export)
 from repro.fleet.shm import SharedBlobRef, attach_ref
-from repro.fleet.transport import FaultModel, InProcessTransport
+from repro.fleet.transport import InProcessTransport
 from repro.fleet.verifier import FleetVerifier
 from repro.machine.snapcodec import decode_snapshot, encode_snapshot
 from repro.machine.snapshot import Snapshot
@@ -346,11 +346,7 @@ def run_shard(task: ShardTask) -> dict:
     metrics = MetricsRegistry()
     transport = InProcessTransport(
         seed=config.seed,
-        fault_model=FaultModel(
-            drop_rate=config.drop_rate,
-            delay_min=config.delay_min,
-            delay_max=config.delay_max,
-        ),
+        fault_model=config.fault_model(),
     )
     verifier = FleetVerifier(
         devices,

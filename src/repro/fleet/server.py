@@ -72,8 +72,8 @@ from repro.fleet.pool import discard_warm_pool, get_warm_pool
 from repro.fleet.service import FleetConfig, _lint_section, prepare_run
 from repro.fleet.transport import (
     CHALLENGE,
-    FaultModel,
     InProcessTransport,
+    LinkParameters,
     Message,
 )
 from repro.machine.devices.crypto_engine import CYCLES_PER_WORD
@@ -82,7 +82,7 @@ SCHEMA = "repro.serve/1"
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(LinkParameters):
     """One service run, fully determined by these fields.
 
     Every knob here may change the report; anything that must *not*
@@ -149,8 +149,10 @@ class ServiceConfig:
                 f"snapshot_every_cycles must be >= 1: "
                 f"{self.snapshot_every_cycles}"
             )
-        # Delegate the load-shape validation to LoadProfile.
+        # Delegate the load-shape and link validation to LoadProfile
+        # and FaultModel.
         self.profile()
+        self.fault_model()
 
     def profile(self) -> LoadProfile:
         return LoadProfile(
@@ -244,12 +246,7 @@ class AttestationService:
         )
         self.transport = InProcessTransport(
             seed=config.seed,
-            fault_model=FaultModel(
-                drop_rate=config.drop_rate,
-                delay_min=config.delay_min,
-                delay_max=config.delay_max,
-                partitions=self._storms,
-            ),
+            fault_model=config.fault_model(partitions=self._storms),
         )
         self.devices = self._hydrate()
         self._keys = dict(self._prepared.keys)

@@ -47,6 +47,7 @@ from repro.fleet.parallel import (
 )
 from repro.fleet.pool import adaptive_shard_size, cost_model, pool_stats
 from repro.fleet.shm import SharedBlob
+from repro.fleet.transport import LinkParameters
 from repro.fleet.verifier import COMPROMISED, HEALTHY, UNRESPONSIVE
 
 #: /3 added the ``lint`` section binding the run to the golden image's
@@ -55,7 +56,7 @@ SCHEMA = "repro.fleet/3"
 
 
 @dataclass(frozen=True)
-class FleetConfig:
+class FleetConfig(LinkParameters):
     """One fleet experiment, fully determined by these fields.
 
     ``step_cycles`` runs each device's guest for that many cycles
@@ -105,6 +106,7 @@ class FleetConfig:
             raise FleetError(
                 f"trace_capacity must be >= 0: {self.trace_capacity}"
             )
+        self.fault_model()
 
 
 def device_key(seed: int, device_id: int) -> bytes:

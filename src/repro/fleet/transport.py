@@ -107,6 +107,25 @@ class FaultModel:
         return dropped, delay
 
 
+class LinkParameters:
+    """Mixin for run configs with ``drop_rate``/``delay_min``/
+    ``delay_max`` fields.  Each config's ``__post_init__`` builds its
+    model so bad link parameters fail at construction, not inside a
+    worker.
+    """
+
+    def fault_model(
+        self, partitions: tuple[tuple[int, int], ...] = ()
+    ) -> FaultModel:
+        """This config's link as a validated :class:`FaultModel`."""
+        return FaultModel(
+            drop_rate=self.drop_rate,
+            delay_min=self.delay_min,
+            delay_max=self.delay_max,
+            partitions=partitions,
+        )
+
+
 def flap_windows(
     rng: random.Random,
     *,

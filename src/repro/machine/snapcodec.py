@@ -33,6 +33,8 @@ Design points:
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import SnapcodecError
 from repro.machine.irq import Interrupt
 from repro.machine.snapshot import (
@@ -42,6 +44,7 @@ from repro.machine.snapshot import (
     Snapshot,
     ZeroBytes,
 )
+from repro.varint import VarintReader, write_uvarint
 
 MAGIC = b"TLSC"
 VERSION = 1
@@ -75,15 +78,7 @@ _T_PAGED = 7
 # Primitive layer: canonical varints.
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+_write_uvarint = partial(write_uvarint, error=SnapcodecError)
 
 
 def _write_svarint(out: bytearray, value: int) -> None:
@@ -94,7 +89,7 @@ def _write_svarint(out: bytearray, value: int) -> None:
         _write_uvarint(out, ((-value) << 1) - 1)
 
 
-class _Reader:
+class _Reader(VarintReader):
     """Bounds-checked cursor over an immutable byte buffer.
 
     Accepts ``bytes`` or a read-only :class:`memoryview` — the fleet's
@@ -104,43 +99,12 @@ class _Reader:
     reader's lifetime convert with ``bytes()``.
     """
 
-    def __init__(self, data) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.data):
-            raise SnapcodecError(
-                f"truncated stream: need {count} byte(s) at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if shift and byte == 0:
-                    raise SnapcodecError(
-                        f"non-canonical varint at offset {self.pos}"
-                    )
-                return value
-            shift += 7
-            if shift > 70:
-                raise SnapcodecError("varint exceeds 64 bits")
+    error = SnapcodecError
+    noun = "stream"
 
     def svarint(self) -> int:
         raw = self.uvarint()
         return (raw >> 1) ^ -(raw & 1)
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
 
 
 # ---------------------------------------------------------------------------

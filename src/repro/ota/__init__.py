@@ -20,7 +20,6 @@ from repro.ota.campaign import (
     SCHEMA,
     format_ota_report,
     run_campaign,
-    trust_root_key,
 )
 from repro.ota.container import (
     FirmwareContainer,
@@ -57,6 +56,5 @@ __all__ = [
     "run_campaign",
     "sign_container",
     "signing_material",
-    "trust_root_key",
     "verify_container",
 ]

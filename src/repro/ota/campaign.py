@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
-from repro.crypto import mac, sponge_hash
+from repro.crypto import sponge_hash
 from repro.errors import FleetError, ReproError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
@@ -52,8 +52,8 @@ from repro.fleet.service import _recovery_lines, device_key
 from repro.fleet.transport import (
     ACK,
     CHUNK,
-    FaultModel,
     InProcessTransport,
+    LinkParameters,
     Message,
 )
 from repro.fleet.verifier import HEALTHY, FleetVerifier
@@ -61,6 +61,7 @@ from repro.ota.container import (
     FirmwareContainer,
     build_container,
     decode_container,
+    demo_trust_root,
     encode_container,
 )
 from repro.sw.images import build_attestation_image
@@ -84,19 +85,13 @@ V2_TIMER_PERIOD = 3000
 _CHUNK_DIGEST_SIZE = 4
 
 
-def trust_root_key(seed: int) -> bytes:
-    """The campaign's update-signing key (derived, never stored)."""
-    return mac(
-        sponge_hash(f"ota-root:{seed}".encode("ascii")), b"trust-root"
-    )
-
-
 def sign_containers(
     seed: int,
 ) -> tuple[FirmwareContainer, FirmwareContainer, bytes]:
     """v1 (the golden image) and v2 (:data:`V2_TIMER_PERIOD`) signed
-    under :func:`trust_root_key`, plus that trust root."""
-    root = trust_root_key(seed)
+    under :func:`~repro.ota.container.demo_trust_root`, plus that trust
+    root."""
+    root = demo_trust_root(seed)
     v1 = build_container(
         attestation_image(), image_name="attestation", fw_version=1,
         signing_key=root,
@@ -109,7 +104,7 @@ def sign_containers(
 
 
 @dataclass(frozen=True)
-class OtaConfig:
+class OtaConfig(LinkParameters):
     """One OTA campaign, fully determined by these fields.
 
     ``canary``/``cohort`` size the first two waves (``cohort=0`` picks
@@ -170,6 +165,7 @@ class OtaConfig:
             raise FleetError(
                 f"fail must be 'none' or 'canary': {self.fail!r}"
             )
+        self.fault_model()
 
 
 def _retry_policy(config: OtaConfig) -> RetryPolicy:
@@ -223,11 +219,7 @@ def _transfer_chunks(
     policy = _retry_policy(config)
     transport = InProcessTransport(
         seed=f"ota-chunk:{config.seed}",
-        fault_model=FaultModel(
-            drop_rate=config.drop_rate,
-            delay_min=config.delay_min,
-            delay_max=config.delay_max,
-        ),
+        fault_model=config.fault_model(),
     )
     transport.register(task.device_id)
     blob = task.container_v2

@@ -26,9 +26,11 @@ refusal modes apart.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.crypto import DIGEST_SIZE, constant_time_equal, mac, sponge_hash
 from repro.errors import ContainerError, RollbackError, SignatureError
+from repro.varint import VarintReader, write_uvarint
 
 MAGIC = b"TLFW"
 VERSION = 1
@@ -114,17 +116,7 @@ class FirmwareContainer:
 # Primitive layer: canonical varints + strict reader.
 
 
-def _write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ContainerError(f"cannot encode negative varint: {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+_write_uvarint = partial(write_uvarint, error=ContainerError)
 
 
 def _write_bytes(out: bytearray, blob: bytes) -> None:
@@ -136,39 +128,11 @@ def _write_str(out: bytearray, text: str) -> None:
     _write_bytes(out, text.encode("utf-8"))
 
 
-class _Reader:
+class _Reader(VarintReader):
     """Bounds-checked cursor; every failure is a ContainerError."""
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if count < 0 or end > len(self.data):
-            raise ContainerError(
-                f"truncated container: need {count} byte(s) at offset "
-                f"{self.pos}, have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.take(1)[0]
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if shift and byte == 0:
-                    raise ContainerError(
-                        f"non-canonical varint at offset {self.pos}"
-                    )
-                return value
-            shift += 7
-            if shift > 70:
-                raise ContainerError("varint exceeds 64 bits")
+    error = ContainerError
+    noun = "container"
 
     def blob(self, *, cap: int, what: str) -> bytes:
         count = self.uvarint()
@@ -184,9 +148,6 @@ class _Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ContainerError(f"malformed {what}: {exc}") from exc
-
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +525,8 @@ def verify_container(
 
 
 def demo_trust_root(seed: int = 0) -> bytes:
-    """The demo update-signing key (derived, never stored)."""
+    """The update-signing key of the demos and of OTA campaign ``seed``
+    (derived, never stored)."""
     return mac(
         sponge_hash(f"ota-root:{seed}".encode("ascii")), b"trust-root"
     )

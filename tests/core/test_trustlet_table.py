@@ -3,8 +3,20 @@
 import pytest
 
 from repro.core.trustlet_table import (
+    FLAG_OS,
     HEADER_SIZE,
+    MEASUREMENT_SIZE,
+    OFF_CODE_BASE,
+    OFF_CODE_END,
+    OFF_DATA_BASE,
+    OFF_DATA_END,
+    OFF_ENTRY,
+    OFF_FLAGS,
+    OFF_ID,
+    OFF_MEASUREMENT,
     OFF_SAVED_SP,
+    OFF_STACK_BASE,
+    OFF_STACK_END,
     ROW_SIZE,
     TrustletTable,
     name_tag,
@@ -74,6 +86,66 @@ class TestPopulation:
     def test_os_row_none_without_os(self, table):
         _add(table)
         assert table.os_row() is None
+
+
+class TestRowLayout:
+    """The byte layout guest code reads (the OS scheduler walks the
+    table with these offsets), whatever way the host writes a row."""
+
+    FIELDS = dict(
+        code_base=0x1110, code_end=0x2220, entry=0x1118, saved_sp=0x3330,
+        data_base=0x4440, data_end=0x5550, stack_base=0x6660,
+        stack_end=0x7770,
+    )
+
+    def _row_base(self, index):
+        return BASE + HEADER_SIZE + index * ROW_SIZE
+
+    def test_every_field_at_its_guest_offset(self, table):
+        _add(table)  # row 0, so the checked row is not at the table base
+        measurement = bytes(range(0xA0, 0xA0 + MEASUREMENT_SIZE))
+        index = table.add_row(
+            "OSX", is_os=True, measurement=measurement, **self.FIELDS
+        )
+        base = self._row_base(index)
+        read = table.bus.read_word
+        assert read(base + OFF_ID) == name_tag("OSX")
+        assert read(base + OFF_FLAGS) == FLAG_OS
+        assert read(base + OFF_CODE_BASE) == 0x1110
+        assert read(base + OFF_CODE_END) == 0x2220
+        assert read(base + OFF_ENTRY) == 0x1118
+        assert read(base + OFF_SAVED_SP) == 0x3330
+        assert read(base + OFF_DATA_BASE) == 0x4440
+        assert read(base + OFF_DATA_END) == 0x5550
+        assert read(base + OFF_STACK_BASE) == 0x6660
+        assert read(base + OFF_STACK_END) == 0x7770
+        assert table.bus.read_bytes(
+            base + OFF_MEASUREMENT, MEASUREMENT_SIZE
+        ) == measurement
+        row = table.row(index)
+        assert (row.index, row.name_tag, row.flags) == \
+            (index, name_tag("OSX"), FLAG_OS)
+        assert {key: getattr(row, key) for key in self.FIELDS} == self.FIELDS
+        assert row.measurement == measurement
+
+    def test_short_measurement_zero_padded(self, table):
+        index = _add(table, measurement=b"\x5a\x5a")
+        assert table.row(index).measurement == \
+            b"\x5a\x5a" + bytes(MEASUREMENT_SIZE - 2)
+
+    def test_long_measurement_rejected(self, table):
+        with pytest.raises(PlatformError, match="at most 16 bytes"):
+            _add(table, measurement=b"\x01" * (MEASUREMENT_SIZE + 1))
+        assert table.count == 0
+
+    def test_reserved_words_untouched(self, table):
+        reserved = self._row_base(0) + OFF_MEASUREMENT + MEASUREMENT_SIZE
+        sentinel = b"\xde\xad\xbe\xef\xca\xfe\xf0\x0d"
+        table.bus.write_bytes(reserved, sentinel)
+        _add(table, measurement=b"\xff" * MEASUREMENT_SIZE)
+        table.write_saved_sp(0, 0x1234)
+        assert reserved + len(sentinel) == self._row_base(1)
+        assert table.bus.read_bytes(reserved, len(sentinel)) == sentinel
 
 
 class TestLookup:

@@ -189,6 +189,8 @@ class TestFleetResilienceFlags:
             ["--backoff", "-1"],
             ["--timeout-cycles", "0"],
             ["--retries", "-1"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "10", "--delay-max", "5"],
         ],
     )
     def test_bad_resilience_values_are_usage_errors(self, extra, capsys):
@@ -248,6 +250,8 @@ class TestServe:
              "--burst-length", "500"],
             ["--storm-up", "1000"],  # missing --storm-down
             ["--compromise", "9"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "10", "--delay-max", "5"],
         ],
     )
     def test_bad_serve_values_are_usage_errors(self, extra, capsys):
@@ -324,6 +328,8 @@ class TestOta:
             ["--attempts", "0"],
             ["--workers", "0"],
             ["--cohort", "99"],
+            ["--drop-rate", "1.5"],
+            ["--delay-min", "10", "--delay-max", "5"],
         ],
     )
     def test_bad_values_are_usage_errors(self, extra, capsys):
