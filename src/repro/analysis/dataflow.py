@@ -80,10 +80,6 @@ class AbsVal:
         return cls(frozenset({value & _M}))
 
     @property
-    def is_top(self) -> bool:
-        return self.values is None
-
-    @property
     def singleton(self) -> int | None:
         if self.values is not None and len(self.values) == 1:
             return next(iter(self.values))
@@ -200,12 +196,6 @@ class ModuleDataflow:
     jump_facts: tuple[JumpFact, ...]
     stack_bounds: tuple[StackBound, ...]
     incomplete: bool = False          # iteration cap hit: no must-facts
-
-    def fact_at(self, address: int) -> MemFact | None:
-        for fact in self.mem_facts:
-            if fact.address == address:
-                return fact
-        return None
 
 
 # ---------------------------------------------------------------------

@@ -49,12 +49,6 @@ class AnalysisContext:
                 return module
         return None
 
-    def module_named(self, name: str) -> ParsedModule | None:
-        for module in self.modules:
-            if module.name == name:
-                return module
-        return None
-
 
 @dataclass(frozen=True)
 class Rule:

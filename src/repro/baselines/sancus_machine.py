@@ -47,9 +47,6 @@ class ProtectedSection:
     def in_text(self, address: int) -> bool:
         return self.text_base <= address < self.text_end
 
-    def in_data(self, address: int, size: int = 1) -> bool:
-        return self.data_base <= address and address + size <= self.data_end
-
 
 class SancusAccessControl:
     """The Sancus enforcement matrix (CPU ``mpu`` hook compatible)."""

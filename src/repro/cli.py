@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
+from repro.errors import ReproError
 from repro.machine.access import AccessType
 
 EXIT_OK = 0
@@ -169,153 +171,77 @@ def _cmd_lint(args) -> int:
     return EXIT_OK if report.ok else EXIT_FINDINGS
 
 
+def _launch(args, config_type, run, fmt, execution=None, **derived) -> int:
+    """Build, run and print one fleet front-end's report.
+
+    The frozen ``config_type`` takes every parsed flag whose ``dest``
+    names one of its fields, overridden by the ``derived`` fields the
+    command computes itself.  ``execution()`` returns how ``run``
+    executes the config (default: ``workers=args.workers``); a
+    ``--workers`` below 1 or a value the config rejects is a usage
+    error.  The exit code is 0 when ``report["ok"]``, else 1.
+    """
+    try:
+        if args.workers < 1:
+            raise ReproError(f"workers must be >= 1: {args.workers}")
+        options = execution() if execution else {"workers": args.workers}
+        given = {
+            field.name: getattr(args, field.name)
+            for field in fields(config_type)
+            if hasattr(args, field.name)
+        }
+        config = config_type(**{**given, **derived})
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    report = run(config, **options)
+    print(json.dumps(report, indent=2) if args.json else fmt(report))
+    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+
+
 def _cmd_fleet(args) -> int:
-    from repro.errors import FleetError
     from repro.fleet import (
-        ExecutionPlan,
-        FleetConfig,
-        format_report,
-        run_fleet,
+        ExecutionPlan, FleetConfig, format_report, run_fleet,
     )
 
-    try:
-        plan = ExecutionPlan(
+    return _launch(
+        args, FleetConfig, run_fleet, format_report,
+        execution=lambda: {"plan": ExecutionPlan(
             workers=args.workers,
-            shard_size=(
-                None if args.adaptive_shards else args.shard_size
-            ),
+            shard_size=None if args.adaptive_shards else args.shard_size,
             engine=args.engine,
-        )
-        config = FleetConfig(
-            devices=args.devices,
-            rounds=args.rounds,
-            seed=args.seed,
-            compromise=args.compromise,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            max_retries=args.retries,
-            backoff=args.backoff,
-            step_cycles=args.step_cycles,
-        )
-    except FleetError as exc:
-        print(f"fleet: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_fleet(config, plan)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+        )},
+    )
 
 
 def _cmd_serve(args) -> int:
-    from repro.errors import FleetError
-    from repro.fleet import (
-        ServiceConfig,
-        format_serve_report,
-        run_service,
-    )
+    from repro.fleet import ServiceConfig, format_serve_report, run_service
 
-    try:
-        if args.workers < 1:
-            raise FleetError(f"workers must be >= 1: {args.workers}")
-        # `--burst 4` alone is enough: default windows derive from the
-        # duration (still a pure function of the arguments).
-        burst_every = args.burst_every
-        burst_length = args.burst_length
-        if args.burst > 1.0 and not burst_every:
-            burst_every = max(1, args.duration // 4)
-            burst_length = burst_length or max(1, args.duration // 8)
-        config = ServiceConfig(
-            devices=args.devices,
-            seed=args.seed,
-            compromise=args.compromise,
-            duration_cycles=args.duration,
-            rate_per_kcycle=args.rate,
-            burst_every=burst_every,
-            burst_length=burst_length,
-            burst_multiplier=args.burst,
-            storm_up_mean=args.storm_up,
-            storm_down_mean=args.storm_down,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            tick_cycles=args.tick_cycles,
-            queue_capacity=args.queue,
-            batch_max=args.batch_max,
-            pipeline_depth=args.pipeline,
-        )
-    except FleetError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_service(config, workers=args.workers)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_serve_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    # `--burst 4` alone is enough: default windows derive from the
+    # duration (still a pure function of the arguments).
+    windows = {}
+    if args.burst_multiplier > 1.0 and not args.burst_every:
+        windows = {
+            "burst_every": max(1, args.duration_cycles // 4),
+            "burst_length": (
+                args.burst_length or max(1, args.duration_cycles // 8)
+            ),
+        }
+    return _launch(
+        args, ServiceConfig, run_service, format_serve_report, **windows
+    )
 
 
 def _cmd_faults(args) -> int:
-    from repro.errors import FaultError, FleetError
     from repro.faults import CampaignConfig, format_campaign, run_campaign
 
-    try:
-        if args.workers < 1:
-            raise FaultError(f"workers must be >= 1: {args.workers}")
-        config = CampaignConfig(
-            seed=args.seed,
-            rounds=args.rounds,
-            timeout_cycles=args.timeout_cycles,
-            max_retries=args.retries,
-            backoff=args.backoff,
-            step_cycles=args.step_cycles,
-        )
-    except (FaultError, FleetError) as exc:
-        print(f"faults: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_campaign(config, workers=args.workers)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_campaign(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    return _launch(args, CampaignConfig, run_campaign, format_campaign)
 
 
 def _cmd_ota(args) -> int:
-    from repro.errors import FleetError
     from repro.ota import OtaConfig, format_ota_report, run_campaign
 
-    try:
-        if args.workers < 1:
-            raise FleetError(f"workers must be >= 1: {args.workers}")
-        config = OtaConfig(
-            devices=args.devices,
-            seed=args.seed,
-            canary=args.canary,
-            cohort=args.cohort,
-            chunk_size=args.chunk_size,
-            drop_rate=args.drop_rate,
-            delay_min=args.delay_min,
-            delay_max=args.delay_max,
-            timeout_cycles=args.timeout_cycles,
-            max_attempts=args.attempts,
-            backoff_cycles=args.backoff_cycles,
-            fail=args.fail,
-            corrupt_chunk=args.corrupt_chunk,
-        )
-    except FleetError as exc:
-        print(f"ota: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_campaign(config, workers=args.workers)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(format_ota_report(report))
-    return EXIT_OK if report["ok"] else EXIT_FINDINGS
+    return _launch(args, OtaConfig, run_campaign, format_ota_report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
             "broken",
         ),
         default="two-counter",
-        help="canned image to verify (default: two-counter)",
+        help="canned image to verify (default: %(default)s)",
     )
     lint.add_argument(
         "--container",
@@ -373,13 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
              "expected, 1 otherwise)",
     )
     fleet.add_argument("--devices", type=int, default=8,
-                       help="fleet size (default: 8)")
+                       help="fleet size (default: %(default)s)")
     fleet.add_argument("--rounds", type=int, default=1,
-                       help="attestation rounds (default: 1)")
+                       help="attestation rounds (default: %(default)s)")
     fleet.add_argument("--seed", type=int, default=0,
                        help="seed for nonces, faults and compromise choice")
     fleet.add_argument("--compromise", type=int, default=1,
-                       help="devices to tamper post-boot (default: 1)")
+                       help="devices to tamper post-boot "
+                            "(default: %(default)s)")
     fleet.add_argument("--drop-rate", type=float, default=0.0,
                        help="per-link message loss probability")
     fleet.add_argument("--delay-min", type=int, default=0,
@@ -388,27 +315,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="maximum link delay in cycles")
     fleet.add_argument("--timeout-cycles", type=int, default=8192,
                        help="per-attempt response timeout in cycles")
-    fleet.add_argument("--retries", type=int, default=2,
+    fleet.add_argument("--retries", dest="max_retries", type=int,
+                       default=2,
                        help="re-challenges before marking unresponsive")
     fleet.add_argument("--backoff", type=float, default=1.0,
                        help="timeout multiplier per retry attempt "
-                            "(simulated cycles; default: 1.0)")
+                            "(simulated cycles; default: %(default)s)")
     fleet.add_argument("--step-cycles", type=int, default=0,
                        help="guest cycles each device runs between rounds")
     fleet.add_argument("--workers", type=int, default=1,
                        help="worker processes for sharded execution "
-                            "(default: 1; verdicts are identical for "
-                            "any worker count)")
+                            "(default: %(default)s; verdicts are "
+                            "identical for any worker count)")
     fleet.add_argument("--shard-size", type=int, default=16,
-                       help="devices per shard (default: 16)")
+                       help="devices per shard (default: %(default)s)")
     fleet.add_argument("--adaptive-shards", action="store_true",
                        help="size shards from measured per-device "
                             "cost instead of --shard-size")
     fleet.add_argument("--engine", choices=("fast", "reference", "trace"),
                        default="trace",
                        help="execution engine for hydrated clones "
-                            "(default: trace; every engine gives the "
-                            "identical report)")
+                            "(default: %(default)s; every engine "
+                            "gives the identical report)")
     fleet.add_argument("--json", action="store_true",
                        help="emit the machine-readable report")
     fleet.set_defaults(func=_cmd_fleet)
@@ -418,30 +346,39 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 0 all verdicts as expected, 1 otherwise)",
     )
     serve.add_argument("--devices", type=int, default=8,
-                       help="fleet size (default: 8)")
+                       help="fleet size (default: %(default)s)")
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for arrivals, nonces, faults, storms "
                             "and compromise choice")
     serve.add_argument("--compromise", type=int, default=1,
-                       help="devices to tamper post-boot (default: 1)")
-    serve.add_argument("--duration", type=int, default=60_000,
+                       help="devices to tamper post-boot "
+                            "(default: %(default)s)")
+    serve.add_argument("--duration", dest="duration_cycles", type=int,
+                       default=60_000,
                        help="load horizon in simulated cycles "
-                            "(default: 60000); the service then drains")
-    serve.add_argument("--rate", type=float, default=2.0,
-                       help="mean arrivals per 1000 cycles (default: 2.0)")
-    serve.add_argument("--burst", type=float, default=1.0,
-                       help="burst-window rate multiplier (default: 1.0 "
-                            "= no bursts; > 1 enables burst trains)")
+                            "(default: %(default)s); the service "
+                            "then drains")
+    serve.add_argument("--rate", dest="rate_per_kcycle", type=float,
+                       default=2.0,
+                       help="mean arrivals per 1000 cycles "
+                            "(default: %(default)s)")
+    serve.add_argument("--burst", dest="burst_multiplier", type=float,
+                       default=1.0,
+                       help="burst-window rate multiplier "
+                            "(default: %(default)s = no bursts; > 1 "
+                            "enables burst trains)")
     serve.add_argument("--burst-every", type=int, default=0,
                        help="cycles between burst-window starts "
                             "(default: duration/4 when --burst > 1)")
     serve.add_argument("--burst-length", type=int, default=0,
                        help="burst window length in cycles "
                             "(default: duration/8 when --burst > 1)")
-    serve.add_argument("--storm-up", type=int, default=0,
+    serve.add_argument("--storm-up", dest="storm_up_mean", type=int,
+                       default=0,
                        help="flap storm: mean cycles up between outages "
                             "(0 = no storm)")
-    serve.add_argument("--storm-down", type=int, default=0,
+    serve.add_argument("--storm-down", dest="storm_down_mean", type=int,
+                       default=0,
                        help="flap storm: mean cycles down per outage")
     serve.add_argument("--drop-rate", type=float, default=0.0,
                        help="per-link message loss probability")
@@ -454,11 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "open-loop mode; losses are measured)")
     serve.add_argument("--tick-cycles", type=int, default=256,
                        help="simulated cycles per server tick")
-    serve.add_argument("--queue", type=int, default=64,
+    serve.add_argument("--queue", dest="queue_capacity", type=int,
+                       default=64,
                        help="admission queue capacity; overflow is shed")
     serve.add_argument("--batch-max", type=int, default=8,
                        help="max quotes per verification batch")
-    serve.add_argument("--pipeline", type=int, default=2,
+    serve.add_argument("--pipeline", dest="pipeline_depth", type=int,
+                       default=2,
                        help="modeled verifier pipeline lanes (part of "
                             "the simulation, changes the report)")
     serve.add_argument("--workers", type=int, default=1,
@@ -477,10 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign seed (every fault stream derives "
                              "from it; same seed, same report bytes)")
     faults.add_argument("--rounds", type=int, default=2,
-                        help="attestation rounds per scenario (default: 2)")
+                        help="attestation rounds per scenario "
+                             "(default: %(default)s)")
     faults.add_argument("--timeout-cycles", type=int, default=8192,
                         help="per-attempt response timeout in cycles")
-    faults.add_argument("--retries", type=int, default=2,
+    faults.add_argument("--retries", dest="max_retries", type=int,
+                        default=2,
                         help="re-challenges before marking unresponsive "
                              "(must be >= 1)")
     faults.add_argument("--backoff", type=float, default=1.0,
@@ -500,17 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
              "fleet updated, 1 rolled back / failed)",
     )
     ota.add_argument("--devices", type=int, default=6,
-                     help="fleet size (default: 6)")
+                     help="fleet size (default: %(default)s)")
     ota.add_argument("--seed", type=int, default=0,
                      help="campaign seed (keys, link faults, nonces; "
                           "same seed, same report bytes)")
     ota.add_argument("--canary", type=int, default=1,
-                     help="devices in the canary wave (default: 1)")
+                     help="devices in the canary wave "
+                          "(default: %(default)s)")
     ota.add_argument("--cohort", type=int, default=0,
                      help="devices in the cohort wave (0 = a quarter "
                           "of the remainder)")
     ota.add_argument("--chunk-size", type=int, default=1024,
-                     help="container transfer chunk bytes (default: 1024)")
+                     help="container transfer chunk bytes "
+                          "(default: %(default)s)")
     ota.add_argument("--drop-rate", type=float, default=0.0,
                      help="per-link message loss probability")
     ota.add_argument("--delay-min", type=int, default=0,
@@ -519,12 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="maximum link delay in cycles")
     ota.add_argument("--timeout-cycles", type=int, default=8192,
                      help="per-chunk ack timeout in cycles")
-    ota.add_argument("--attempts", type=int, default=3,
+    ota.add_argument("--attempts", dest="max_attempts", type=int,
+                     default=3,
                      help="chunk send attempts before the transfer "
-                          "fails (default: 3)")
+                          "fails (default: %(default)s)")
     ota.add_argument("--backoff-cycles", type=int, default=4096,
                      help="simulated-cycle backoff base per chunk "
-                          "retry (executor formula; default: 4096)")
+                          "retry (executor formula; "
+                          "default: %(default)s)")
     ota.add_argument("--fail", choices=("none", "canary"),
                      default="none",
                      help="force a failure mode: 'canary' tampers the "

@@ -2,8 +2,8 @@
 
 Two layers, mirroring the paper:
 
-* **Untrusted IPC** (:class:`MessageQueue`, :func:`rpc_call_frame`) —
-  the RPC-style convention used between the OS and trustlets: jump to
+* **Untrusted IPC** (:class:`MessageQueue`) — the
+  RPC-style convention used between the OS and trustlets: jump to
   the receiver's ``call()`` entry with ``(type, msg, sender)`` in
   registers.  The asm-level implementation lives in
   :mod:`repro.sw.trustlets`; the classes here model the OS-side queue
@@ -40,15 +40,6 @@ CALL_TYPE_SIGNAL = 1
 CALL_TYPE_DATA = 2
 CALL_TYPE_SYN = 3
 CALL_TYPE_ACK = 4
-
-
-@dataclass(frozen=True)
-class RpcFrame:
-    """The register triple of an untrusted call() invocation."""
-
-    type: int   # r0
-    msg: int    # r1
-    sender: int  # r2: entry point to return/continue to
 
 
 class MessageQueue:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.attestation import measure_code
 from repro.core.layout import ENTRY_VECTOR_SIZE
 from repro.crypto import mac
-from repro.errors import FleetError
+from repro.errors import FleetError, ReproError
 from repro.fleet.transport import CHALLENGE, RESPONSE, Message
 from repro.machine.devices.crypto_engine import CYCLES_PER_WORD
 
@@ -118,6 +118,26 @@ class FleetDevice:
             deliver_at=done_at,
             quote=quote,
         )
+
+    def answer(self, transport, horizon: int) -> int:
+        """Answer every challenge delivered to this device by
+        ``horizon``; returns how many of them errored.
+
+        A device whose endpoint *errors* while answering (corrupted
+        trustlet table, crashed measurement) simply stays silent — the
+        verifier's retry/timeout machinery classifies it, instead of
+        the whole round crashing on one broken device.
+        """
+        errors = 0
+        for message in transport.poll("device", self.device_id, horizon):
+            try:
+                response = self.handle_challenge(message)
+            except ReproError:
+                errors += 1
+                continue
+            if response is not None:
+                transport.send(response)
+        return errors
 
     # ------------------------------------------------------------------
 

@@ -69,7 +69,7 @@ from repro.fleet.parallel import (
     verify_quote_batch,
 )
 from repro.fleet.pool import discard_warm_pool, get_warm_pool
-from repro.fleet.service import FleetConfig, _lint_section, prepare_run
+from repro.fleet.service import FleetConfig, prepare_run
 from repro.fleet.transport import (
     CHALLENGE,
     InProcessTransport,
@@ -308,19 +308,10 @@ class AttestationService:
 
     def _device_turns(self, now: int) -> None:
         """Every device drains its inbox and answers (sorted order)."""
-        from repro.errors import ReproError
-
         for device_id in sorted(self.devices):
-            for message in self.transport.poll("device", device_id, now):
-                try:
-                    response = self.devices[device_id].handle_challenge(
-                        message
-                    )
-                except ReproError:
-                    self.metrics.counter("serve_device_errors").inc()
-                    continue
-                if response is not None:
-                    self.transport.send(response)
+            errors = self.devices[device_id].answer(self.transport, now)
+            if errors:
+                self.metrics.counter("serve_device_errors").inc(errors)
 
     def _admit(self, now: int) -> None:
         """Move delivered quotes into the bounded admission queue."""
@@ -601,16 +592,7 @@ class AttestationService:
         return {
             "schema": SCHEMA,
             "config": asdict(config),
-            "image": {
-                "modules": list(prepared.modules),
-                "prom_bytes": prepared.prom_bytes,
-            },
-            "lint": _lint_section(prepared),
-            "fleet": {
-                "devices": config.devices,
-                "clone_memory_bytes": prepared.memory_bytes,
-                "snapshot_blob_bytes": len(prepared.snapshot_blob),
-            },
+            **prepared.report_sections(),
             "load": {
                 "arrivals": len(self._schedule),
                 "offered_rate_per_kcycle": round(

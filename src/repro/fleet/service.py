@@ -138,6 +138,32 @@ class PreparedRun:
     #: the lint cache; byte-deterministic, so it may live in reports.
     lint: tuple[tuple[str, object], ...] = ()
 
+    def report_sections(self) -> dict:
+        """The ``image``, ``lint`` and ``fleet`` report sections, in
+        that order (the fleet and serve reports share them)."""
+        lint = dict(self.lint)
+        return {
+            "image": {
+                "modules": list(self.modules),
+                "prom_bytes": self.prom_bytes,
+            },
+            "lint": {
+                "schema": lint.get("schema"),
+                "ok": lint.get("ok"),
+                "errors": lint.get("errors", 0),
+                "warnings": lint.get("warnings", 0),
+                "fingerprints": {
+                    "image": lint.get("image_fingerprint") or None,
+                    "modules": dict(lint.get("fingerprints") or ()),
+                },
+            },
+            "fleet": {
+                "devices": self.config.devices,
+                "clone_memory_bytes": self.memory_bytes,
+                "snapshot_blob_bytes": len(self.snapshot_blob),
+            },
+        }
+
 
 def prepare_run(config: FleetConfig) -> PreparedRun:
     """Boot the golden platform once and freeze the experiment.
@@ -236,22 +262,6 @@ def _shard_tasks(
         )
         for index, ids in enumerate(shard_ids(config.devices, shard_size))
     ]
-
-
-def _lint_section(prepared: PreparedRun) -> dict:
-    """JSON-ready view of the golden image's static-analysis verdict."""
-    summary = dict(prepared.lint)
-    fingerprints = summary.get("fingerprints") or ()
-    return {
-        "schema": summary.get("schema"),
-        "ok": summary.get("ok"),
-        "errors": summary.get("errors", 0),
-        "warnings": summary.get("warnings", 0),
-        "fingerprints": {
-            "image": summary.get("image_fingerprint") or None,
-            "modules": dict(fingerprints),
-        },
-    }
 
 
 def execute_run(
@@ -357,16 +367,7 @@ def execute_run(
     return {
         "schema": SCHEMA,
         "config": asdict(config),
-        "image": {
-            "modules": list(prepared.modules),
-            "prom_bytes": prepared.prom_bytes,
-        },
-        "lint": _lint_section(prepared),
-        "fleet": {
-            "devices": config.devices,
-            "clone_memory_bytes": prepared.memory_bytes,
-            "snapshot_blob_bytes": len(prepared.snapshot_blob),
-        },
+        **prepared.report_sections(),
         "expected_compromised": list(prepared.expected_compromised),
         "rounds": rounds,
         "flagged": {

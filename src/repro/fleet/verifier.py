@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.crypto import constant_time_equal
 from repro.crypto.tokens import NonceSource
-from repro.errors import FleetError, ReproError
+from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.transport import CHALLENGE, InProcessTransport, Message
@@ -129,25 +129,6 @@ class FleetVerifier:
         self.metrics.counter("fleet_challenges_sent").inc()
         return _Outstanding(nonce=nonce, seq=seq, sent_at=self.now)
 
-    def _device_turn(self, device: FleetDevice, horizon: int) -> None:
-        """One device's endpoint loop up to ``horizon``.
-
-        A device whose endpoint *errors* while answering (corrupted
-        trustlet table, crashed measurement) simply stays silent — the
-        verifier's retry/timeout machinery classifies it, instead of
-        the whole round crashing on one broken device.
-        """
-        for message in self.transport.poll(
-            "device", device.device_id, horizon
-        ):
-            try:
-                response = device.handle_challenge(message)
-            except ReproError:
-                self.metrics.counter("fleet_device_errors").inc()
-                continue
-            if response is not None:
-                self.transport.send(response)
-
     def _judge(
         self,
         device_id: int,
@@ -200,7 +181,11 @@ class FleetVerifier:
             )
             horizon = self.now + window
             for device_id in pending:
-                self._device_turn(self.devices[device_id], horizon)
+                errors = self.devices[device_id].answer(
+                    self.transport, horizon
+                )
+                if errors:
+                    self.metrics.counter("fleet_device_errors").inc(errors)
             still_pending = []
             for device_id in pending:
                 verdict = self._judge(

@@ -210,10 +210,6 @@ class Bus:
                 return mapping.base
         raise BusError(f"no device named {name!r}")
 
-    def _locate(self, address: int, size: int) -> tuple[Device, int]:
-        i = self._check_access(address, size)
-        return self._devices[i], address - self._bases[i]
-
     def _check_access(self, address: int, size: int) -> int:
         if size == 4 and address % 4 != 0:
             raise AlignmentError(

@@ -31,15 +31,28 @@ CTRL_ENABLE = 0x1
 
 
 class Timer(Device):
-    """Down-counting alarm timer raising a fixed IRQ line."""
+    """Down-counting alarm timer raising a fixed IRQ line.
+
+    ``REGISTERS`` maps each word offset to the attribute behind it;
+    those attributes in offset order, then ``fired``, are the snapshot
+    state.  A subclass with another map and another :meth:`_interrupt`
+    is another down-counter (the watchdog).
+    """
+
+    REGISTERS = {
+        PERIOD: "period", HANDLER: "handler", CTRL: "enabled",
+        COUNT: "_count",
+    }
 
     def __init__(
         self,
         irq_controller: InterruptController,
         line: int = 0,
-        name: str = "timer",
+        name: str | None = None,
     ) -> None:
-        super().__init__(name, SIZE)
+        super().__init__(
+            name or type(self).__name__.lower(), 4 * len(self.REGISTERS)
+        )
         self._irq = irq_controller
         self.line = line
         self.period = 0
@@ -48,50 +61,62 @@ class Timer(Device):
         self._count = 0
         self.fired = 0
 
-    def read(self, offset: int, size: int) -> int:
+    def _register(self, offset: int, size: int) -> str:
         self._check_offset(offset, size)
         if size != 4:
-            raise BusError(f"timer {self.name!r} requires word access")
-        if offset == PERIOD:
-            return self.period
-        if offset == HANDLER:
-            return self.handler
-        if offset == CTRL:
+            raise BusError(f"{self.name} registers require word access")
+        try:
+            return self.REGISTERS[offset]
+        except KeyError:
+            raise BusError(
+                f"unknown {self.name} register offset {offset:#x}"
+            ) from None
+
+    def read(self, offset: int, size: int) -> int:
+        attr = self._register(offset, size)
+        if attr == "enabled":
             return CTRL_ENABLE if self.enabled else 0
-        if offset == COUNT:
-            return self._count
-        raise BusError(f"unknown timer register offset {offset:#x}")
+        return getattr(self, attr)
 
     def write(self, offset: int, size: int, value: int) -> None:
-        self._check_offset(offset, size)
-        if size != 4:
-            raise BusError(f"timer {self.name!r} requires word access")
-        if offset == PERIOD:
+        attr = self._register(offset, size)
+        if attr == "period":
             self.period = value
             self._count = value
-        elif offset == HANDLER:
-            self.handler = value
-        elif offset == CTRL:
+        elif attr == "enabled":
             self.enabled = bool(value & CTRL_ENABLE)
             if self.enabled and self._count == 0:
                 self._count = self.period
-        elif offset == COUNT:
-            raise BusError("timer COUNT register is read-only")
+        elif attr == "_count":
+            raise BusError(f"{self.name} COUNT register is read-only")
         else:
-            raise BusError(f"unknown timer register offset {offset:#x}")
+            setattr(self, attr, value)
 
     def snapshot_state(self) -> tuple:
-        return (self.period, self.handler, self.enabled, self._count,
-                self.fired)
+        return tuple(
+            getattr(self, attr) for attr in self.REGISTERS.values()
+        ) + (self.fired,)
 
     def restore_state(self, state) -> None:
-        self.period, self.handler, self.enabled, self._count, \
-            self.fired = state
+        attrs = (*self.REGISTERS.values(), "fired")
+        if len(state) != len(attrs):
+            raise ValueError(
+                f"{self.name} state has {len(state)} fields, "
+                f"expected {len(attrs)}"
+            )
+        for attr, value in zip(attrs, state):
+            setattr(self, attr, value)
 
     def next_event_in(self):
         if not self.enabled or self.period == 0:
             return None
         return self._count
+
+    def _interrupt(self) -> Interrupt:
+        """What one firing raises: the line, carrying HANDLER."""
+        return Interrupt(
+            line=self.line, source=self.name, handler=self.handler or None
+        )
 
     def tick(self, cycles: int) -> None:
         """Advance the down-counter; fires the IRQ when it reaches zero."""
@@ -105,10 +130,4 @@ class Timer(Device):
             remaining -= self._count
             self._count = self.period
             self.fired += 1
-            self._irq.raise_line(
-                Interrupt(
-                    line=self.line,
-                    source=self.name,
-                    handler=self.handler or None,
-                )
-            )
+            self._irq.raise_line(self._interrupt())

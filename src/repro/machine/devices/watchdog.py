@@ -8,7 +8,7 @@ expiry is **non-maskable** closes that hole — the secure exception
 engine still banks the offender's state and hands control to the OS
 scheduler, which can keep every other trustlet running.
 
-Register map::
+It is the alarm timer's down-counter without the HANDLER register::
 
     0x00  PERIOD  r/w  cycles between NMI firings (0 disables)
     0x04  CTRL    r/w  bit0 = enable
@@ -17,9 +17,10 @@ Register map::
 
 from __future__ import annotations
 
-from repro.errors import BusError
-from repro.machine.device import Device
-from repro.machine.irq import Interrupt, InterruptController
+from repro.machine.devices.timer import CTRL_ENABLE, Timer
+from repro.machine.irq import Interrupt
+
+__all__ = ["COUNT", "CTRL", "CTRL_ENABLE", "PERIOD", "SIZE", "Watchdog"]
 
 PERIOD = 0x00
 CTRL = 0x04
@@ -27,76 +28,11 @@ COUNT = 0x08
 
 SIZE = 0x0C
 
-CTRL_ENABLE = 0x1
 
-
-class Watchdog(Device):
+class Watchdog(Timer):
     """Auto-reloading NMI source on a dedicated IRQ line."""
 
-    def __init__(
-        self,
-        irq_controller: InterruptController,
-        line: int = 1,
-        name: str = "watchdog",
-    ) -> None:
-        super().__init__(name, SIZE)
-        self._irq = irq_controller
-        self.line = line
-        self.period = 0
-        self.enabled = False
-        self._count = 0
-        self.fired = 0
+    REGISTERS = {PERIOD: "period", CTRL: "enabled", COUNT: "_count"}
 
-    def read(self, offset: int, size: int) -> int:
-        self._check_offset(offset, size)
-        if size != 4:
-            raise BusError("watchdog registers require word access")
-        if offset == PERIOD:
-            return self.period
-        if offset == CTRL:
-            return CTRL_ENABLE if self.enabled else 0
-        if offset == COUNT:
-            return self._count
-        raise BusError(f"unknown watchdog register offset {offset:#x}")
-
-    def write(self, offset: int, size: int, value: int) -> None:
-        self._check_offset(offset, size)
-        if size != 4:
-            raise BusError("watchdog registers require word access")
-        if offset == PERIOD:
-            self.period = value
-            self._count = value
-        elif offset == CTRL:
-            self.enabled = bool(value & CTRL_ENABLE)
-            if self.enabled and self._count == 0:
-                self._count = self.period
-        elif offset == COUNT:
-            raise BusError("watchdog COUNT register is read-only")
-        else:
-            raise BusError(f"unknown watchdog register offset {offset:#x}")
-
-    def snapshot_state(self) -> tuple:
-        return (self.period, self.enabled, self._count, self.fired)
-
-    def restore_state(self, state) -> None:
-        self.period, self.enabled, self._count, self.fired = state
-
-    def next_event_in(self):
-        if not self.enabled or self.period == 0:
-            return None
-        return self._count
-
-    def tick(self, cycles: int) -> None:
-        if not self.enabled or self.period == 0:
-            return
-        remaining = cycles
-        while remaining > 0:
-            if self._count > remaining:
-                self._count -= remaining
-                return
-            remaining -= self._count
-            self._count = self.period
-            self.fired += 1
-            self._irq.raise_line(
-                Interrupt(line=self.line, source=self.name, nmi=True)
-            )
+    def _interrupt(self) -> Interrupt:
+        return Interrupt(line=self.line, source=self.name, nmi=True)

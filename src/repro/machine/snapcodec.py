@@ -404,6 +404,7 @@ def _build_snapshot(payload) -> Snapshot:
 
     (regs, ip, curr_ip, flags_word, halted, cycles,
      retired) = _expect_tuple(raw_cpu, 7, "cpu state")
+    _expect_ints((ip, curr_ip, flags_word, cycles, retired), "cpu state")
     cpu = CpuState(
         regs=_expect_ints(regs, "cpu register file"),
         ip=ip, curr_ip=curr_ip, flags_word=flags_word,

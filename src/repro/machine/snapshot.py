@@ -263,9 +263,16 @@ class Snapshot:
             )
         soc = platform.soc
         for name, state in self.devices:
-            soc.bus.device_named(name).restore_state(
-                materialize_state(state)
-            )
+            try:
+                soc.bus.device_named(name).restore_state(
+                    materialize_state(state)
+                )
+            except (TypeError, ValueError) as exc:
+                # A decoded blob can carry a state of the wrong shape;
+                # that is a bad snapshot, not a simulator crash.
+                raise MachineError(
+                    f"bad snapshot state for device {name!r}: {exc}"
+                ) from exc
         self.cpu.apply(soc.cpu)
         self.mpu.apply(platform.mpu)
         soc.irq.clear_all()

@@ -1,11 +1,13 @@
 """Tests for the versioned snapshot byte codec."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.platform import TrustLitePlatform
-from repro.errors import SnapcodecError
+from repro.errors import ReproError, SnapcodecError
 from repro.machine import Snapshot, decode_snapshot, encode_snapshot
 from repro.machine.snapcodec import (
     MAGIC,
@@ -276,3 +278,39 @@ class TestMalformedInputFuzz:
             b = rng.randrange(len(blob))
             lo, hi = min(a, b), max(a, b)
             self._decode_must_be_typed(blob[:lo] + blob[hi:])
+
+
+class TestDecodedStatesCloneTyped:
+    """A blob that decodes must clone or fail with a ``ReproError``.
+
+    Each case re-encodes the golden snapshot with one field of the
+    wrong shape, then decodes and clones it, as a fleet worker would.
+    """
+
+    @staticmethod
+    def _decode_and_clone(snapshot):
+        decode_snapshot(encode_snapshot(snapshot)).clone()
+
+    @staticmethod
+    def _with_state(snapshot, name, state):
+        devices = tuple(
+            (n, state if n == name else s) for n, s in snapshot.devices
+        )
+        return replace(snapshot, devices=devices)
+
+    def test_every_device_rejects_wrong_type_and_arity(self, golden):
+        cases = []
+        for name, state in golden.devices:
+            cases += [(name, 7), (name, "x"), (name, None)]
+            if isinstance(state, tuple):
+                cases += [(name, state + (0,)), (name, state[:-1])]
+        assert {"timer", "watchdog", "crypto", "uart"} <= {
+            name for name, _ in cases
+        }
+        for name, state in cases:
+            with pytest.raises(ReproError):
+                self._decode_and_clone(self._with_state(golden, name, state))
+
+    def test_none_flags_word_is_rejected(self, golden):
+        with pytest.raises(ReproError):
+            self._decode_and_clone(golden.with_cpu(flags_word=None))
