@@ -12,6 +12,27 @@ A round XORs a constant into s0, runs quarter-rounds (0,1,2,3) and
 as lanes in bits 0-31 and 64-95: A=(s0,s4) B=(s1,s5) C=(s2,s6) D=(s3,s7).
 Carries land in guard bits that the mask clears before a right shift can
 reach them; swapping B's and D's lanes turns columns into diagonals.
+
+Absorb memo.  Attestation re-measures the same code on every quote and
+the Secure Loader and OTA path hash the same modules, containers and
+chunks on every device, so ``update`` memoizes its absorb per process:
+a call with at least :data:`MEMO_MIN_BYTES` bytes of full blocks looks
+up ``(state before, those bytes)`` and on a hit adopts the stored state
+after.  It stays coherent without ever being invalidated:
+
+* ``_absorb`` is a pure function of (state, blocks), and the key holds
+  both;
+* the key's bytes are an immutable ``bytes`` copy, never a view of the
+  caller's buffer, so mutating a ``bytearray`` or ``memoryview`` source
+  afterwards cannot change a stored key;
+* measurements still read live memory through ``bus.read_bytes``, so a
+  tampered, fault-flipped or OTA-written region yields different key
+  bytes and misses.
+
+The memo is bounded by the key bytes it retains and emptied whenever
+the next entry would pass :data:`MEMO_MAX_BYTES`.  ``digest()`` still
+pads and finalizes once per hash.  :func:`memo_stats` reports hits,
+misses and retained bytes for the process.
 """
 
 from __future__ import annotations
@@ -22,6 +43,13 @@ DIGEST_SIZE = 16
 RATE = 8
 STATE_WORDS = 8
 ROUNDS = 12
+
+#: Full-block bytes one ``update`` call needs before it uses the memo:
+#: code regions, containers and chunks pass it, quote and MAC material
+#: stays below.
+MEMO_MIN_BYTES = 256
+#: Key bytes the memo may retain before it is emptied.
+MEMO_MAX_BYTES = 256 * 1024
 
 _MASK = 0xFFFF_FFFF
 _LANES = _MASK | _MASK << 64
@@ -59,6 +87,40 @@ def _absorb(state: tuple, blocks) -> tuple:
     return a, b, c, d
 
 
+#: ``(state before, full-block bytes) -> state after``.
+_memo: dict[tuple[tuple, bytes], tuple] = {}
+_memo_counts = {"hits": 0, "misses": 0, "retained_bytes": 0}
+
+
+def memo_stats(since: dict | None = None) -> dict:
+    """This process's absorb memo: ``hits``, ``misses`` and
+    ``retained_bytes``.  With ``since`` (an earlier result), hits and
+    misses count only what happened after it."""
+    stats = dict(_memo_counts)
+    if since is not None:
+        stats["hits"] -= since["hits"]
+        stats["misses"] -= since["misses"]
+    return stats
+
+
+def _memo_absorb(state: tuple, blocks: bytes) -> tuple:
+    """``_absorb(state, blocks)``, looked up in or stored to the memo."""
+    key = (state, blocks)
+    after = _memo.get(key)
+    counts = _memo_counts
+    if after is not None:
+        counts["hits"] += 1
+        return after
+    after = _absorb(state, struct.iter_unpack("<2I", blocks))
+    if counts["retained_bytes"] + len(blocks) > MEMO_MAX_BYTES:
+        _memo.clear()
+        counts["retained_bytes"] = 0
+    _memo[key] = after
+    counts["retained_bytes"] += len(blocks)
+    counts["misses"] += 1
+    return after
+
+
 class SpongeHash:
     """Incremental sponge hash (absorb bytes, squeeze a 128-bit digest)."""
 
@@ -72,9 +134,13 @@ class SpongeHash:
         if self._finalized is not None:
             raise ValueError("cannot update a finalized hash")
         # TypeError unless bytes-like; ``bytes(5)`` would give 5 zeros.
+        # ``bytes + bytes-like`` is a new ``bytes``: the key below never
+        # aliases the caller's buffer.
         data = self._buffer + data
         full = len(data) - len(data) % RATE
-        if full:
+        if MEMO_MIN_BYTES <= full <= MEMO_MAX_BYTES:
+            self._state = _memo_absorb(self._state, data[:full])
+        elif full:
             # Lazily, so a large input never becomes one big tuple.
             blocks = struct.iter_unpack("<2I", memoryview(data)[:full])
             self._state = _absorb(self._state, blocks)

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.core.attestation import expected_measurements
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
+from repro.crypto.sponge import memo_stats
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
@@ -332,6 +333,7 @@ def run_shard(task: ShardTask) -> dict:
     """
     _maybe_crash_for_test(task.shard_index)
     config = task.config
+    memo_before = memo_stats()
     hydrate_started = time.perf_counter()
     keys = dict(task.keys)
     devices = hydrate_devices(
@@ -390,6 +392,9 @@ def run_shard(task: ShardTask) -> dict:
             "hydrate_s": execute_started - hydrate_started,
             "execute_s": done - execute_started,
         },
+        # This process's sponge-memo traffic for the shard; folded
+        # into the report's ``execution`` section, like ``timings``.
+        "sponge_memo": memo_stats(since=memo_before),
     }
 
 
@@ -440,6 +445,18 @@ def verify_quote_batch(batch: QuoteCheckBatch) -> tuple[bool, ...]:
 # Parent side.
 
 
+def fold_memo_stats(total: dict, part: dict) -> None:
+    """Fold one task's :func:`~repro.crypto.sponge.memo_stats` delta
+    into ``total``: hits and misses add up over tasks, and
+    ``retained_bytes`` is the most that any one process held after a
+    task (each process has its own memo)."""
+    total["hits"] += part["hits"]
+    total["misses"] += part["misses"]
+    total["retained_bytes"] = max(
+        total["retained_bytes"], part["retained_bytes"]
+    )
+
+
 class ShardMerger:
     """Order-independent streaming fold of shard results.
 
@@ -450,10 +467,11 @@ class ShardMerger:
     — and drops it, holding O(1) shard results instead of O(shards),
     while producing exactly what a sorted batch merge would.
 
-    Worker-side ``timings`` ride along into :attr:`timings` (and the
-    fold's own cost into :attr:`merge_seconds`) but never into the
-    merged payload, so the report stays byte-identical across worker
-    counts, shard sizes and completion orders.
+    Worker-side ``timings`` and ``sponge_memo`` counts ride along into
+    :attr:`timings` and :attr:`sponge_memo` (and the fold's own cost
+    into :attr:`merge_seconds`) but never into the merged payload, so
+    the report stays byte-identical across worker counts, shard sizes
+    and completion orders.
     """
 
     def __init__(self, *, rounds: int) -> None:
@@ -469,6 +487,7 @@ class ShardMerger:
             "partition_dropped": 0, "in_flight": 0,
         }
         self.timings = {"hydrate_s": 0.0, "execute_s": 0.0}
+        self.sponge_memo = {"hits": 0, "misses": 0, "retained_bytes": 0}
         self.shards = 0
         self.merge_seconds = 0.0
         self._finished = False
@@ -487,6 +506,8 @@ class ShardMerger:
             self.transport_totals[key] += result["transport"].get(key, 0)
         for key, value in (result.get("timings") or {}).items():
             self.timings[key] = self.timings.get(key, 0.0) + value
+        if "sponge_memo" in result:
+            fold_memo_stats(self.sponge_memo, result["sponge_memo"])
         self.shards += 1
         self.merge_seconds += time.perf_counter() - started
 

@@ -47,6 +47,7 @@ import asyncio
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
+from repro.crypto.sponge import memo_stats
 from repro.crypto.tokens import NONCE_SIZE, NonceSource
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
@@ -503,6 +504,7 @@ class AttestationService:
     async def run(self) -> dict:
         config = self.config
         loop = asyncio.get_running_loop()
+        self._memo_before = memo_stats()
         # Warm pool from the shared registry: spun up at most once per
         # process and reused across service runs and batches; atexit
         # (or discard on breakage) retires it.
@@ -633,6 +635,9 @@ class AttestationService:
             "execution": {
                 "workers": self.workers,
                 "recovery": self.recovery.to_dict(),
+                # Devices measure in this process; pooled quote checks
+                # MAC material below the memo threshold.
+                "sponge_memo": memo_stats(since=self._memo_before),
             },
         }
 

@@ -384,6 +384,7 @@ def execute_run(
             "engine": plan.engine,
             "shared_blob": shared is not None,
             "recovery": recovery.to_dict(),
+            "sponge_memo": merger.sponge_memo,
         },
     }
 

@@ -39,12 +39,14 @@ from dataclasses import asdict, dataclass
 from repro.core.platform import TrustLitePlatform
 from repro.core.trustlet_table import name_tag
 from repro.crypto import sponge_hash
+from repro.crypto.sponge import memo_stats
 from repro.errors import FleetError, ReproError
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.parallel import (
     _maybe_crash_for_test,
     attestation_image,
+    fold_memo_stats,
     golden_boot,
     hydrate_devices,
 )
@@ -430,6 +432,16 @@ def run_device_update(task: DeviceUpdateTask) -> dict:
 # Campaign orchestration.
 
 
+def _update_counting_memo(task: DeviceUpdateTask) -> dict:
+    """:func:`run_device_update`, plus the sponge-memo counts of the
+    process that ran it under ``sponge_memo`` (folded into
+    ``execution``, never into the report's verdicts)."""
+    memo_before = memo_stats()
+    result = run_device_update(task)
+    result["sponge_memo"] = memo_stats(since=memo_before)
+    return result
+
+
 def _wave_plan(config: OtaConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Cut the fleet into waves; never depends on worker count."""
     cohort = config.cohort
@@ -478,6 +490,7 @@ def run_campaign(
 
     policy = policy or _retry_policy(config)
     recovery = RecoveryLog()
+    sponge_memo = {"hits": 0, "misses": 0, "retained_bytes": 0}
 
     def tasks_for(
         ids: tuple[int, ...], *, tamper_ids: frozenset[int], action: str
@@ -504,10 +517,11 @@ def run_campaign(
         results: dict[int, dict] = {}
 
         def collect(_index: int, result: dict) -> None:
+            fold_memo_stats(sponge_memo, result.pop("sponge_memo"))
             results[result["device"]] = result
 
         run_resilient(
-            run_device_update,
+            _update_counting_memo,
             tasks,
             workers,
             consume=collect,
@@ -621,6 +635,7 @@ def run_campaign(
         "execution": {
             "workers": workers,
             "recovery": recovery.to_dict(),
+            "sponge_memo": sponge_memo,
         },
     }
 

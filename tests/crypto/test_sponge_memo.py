@@ -4,18 +4,29 @@ A fleet device re-measures its code live off the bus on every quote.
 Each case below warms the measurement of every Trustlet Table row,
 drives one mutation path, then re-measures.  Every re-measurement must
 equal a reference digest of the same live bytes, fed to the sponge in
-8-byte ``update`` calls.
+8-byte ``update`` calls, which stay below ``MEMO_MIN_BYTES`` and never
+touch the absorb memo.  A path that changes the full blocks of a
+measured region must also record a memo miss; a region whose full
+blocks are unchanged must hit (the partial last block is absorbed by
+``digest()``, outside the memo).
+
+The aliasing, bound and property tests below hold the memo itself to
+the same reference and to the known-answer vectors.
 """
 
+import contextlib
 import functools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.attestation import measure_code
 from repro.core.layout import TRUSTLET_TABLE_BASE
-from repro.core.trustlet_table import HEADER_SIZE, OFF_CODE_END, ROW_SIZE
-from repro.crypto.sponge import RATE, SpongeHash
+from repro.core.trustlet_table import HEADER_SIZE, OFF_CODE_END
+from repro.crypto import sponge
+from repro.crypto.sponge import RATE, SpongeHash, memo_stats, sponge_hash
 from repro.errors import ReproError
 from repro.faults import (
     corrupt_blob,
@@ -31,6 +42,8 @@ from repro.machine.snapcodec import decode_snapshot
 from repro.machine.soc import SRAM_BASE
 from repro.ota.campaign import _tamper_installed, sign_containers
 
+from .test_sponge import CYCLE, SPONGE_KAT
+
 KEY = device_key(0, 0)
 STEP_CYCLES = 20_000
 
@@ -41,6 +54,24 @@ def reference_digest(data: bytes) -> bytes:
     for start in range(0, len(data), RATE):
         hasher.update(data[start:start + RATE])
     return hasher.digest()
+
+
+@contextlib.contextmanager
+def isolated_memo(max_bytes=sponge.MEMO_MAX_BYTES):
+    """An empty memo (optionally with a smaller bound) for the block,
+    so counts and clears do not depend on what ran before."""
+    with mock.patch.multiple(
+        sponge,
+        _memo={},
+        _memo_counts={"hits": 0, "misses": 0, "retained_bytes": 0},
+        MEMO_MAX_BYTES=max_bytes,
+    ):
+        yield
+
+
+def full_blocks(data: bytes) -> bytes:
+    """The part of one ``update`` that the memo keys on."""
+    return data[:len(data) - len(data) % RATE]
 
 
 def regions(platform) -> list[tuple[int, int]]:
@@ -85,15 +116,13 @@ def prom_flip(device, golden):
 
 
 def sram_table_flip(device, golden):
-    """Flip a low bit of the last row's code-end word: the device now
-    measures a different (still valid) region."""
+    """Flip a low bit of the OS row's code-end word: the device now
+    measures a different region, still long enough for the memo."""
     platform = device.platform
-    last = platform.table.count - 1
     offset = (
-        TRUSTLET_TABLE_BASE - SRAM_BASE + HEADER_SIZE + last * ROW_SIZE
-        + OFF_CODE_END
+        TRUSTLET_TABLE_BASE - SRAM_BASE + HEADER_SIZE + OFF_CODE_END
     )
-    flip_memory_bits(platform, random.Random(2), memory="sram",
+    flip_memory_bits(platform, random.Random(4), memory="sram",
                      lo=offset, hi=offset + 1)
     return platform
 
@@ -153,7 +182,8 @@ def boot_signed_prom_write(device, golden):
     return device.platform
 
 
-#: ``(mutation, changes measured bytes, boots the v1 container first)``.
+#: ``(mutation, changes measured full blocks, boots the v1 container
+#: first)``; ``None``: either, depending on where the flip lands.
 CASES = {
     "flip_memory_bits:prom": (prom_flip, True, False),
     "flip_memory_bits:sram": (sram_table_flip, True, False),
@@ -174,22 +204,33 @@ def test_remeasurement_matches_reference(case, golden):
     if ota:
         v1, _v2, root = signed()
         device.platform.boot_signed(v1, trust_root=root)
-    warm = {}
-    for region in regions(device.platform):
-        warm[region] = live(device.platform, region)
-        assert measure_code(device.platform.bus, *region) == \
-            reference_digest(warm[region])
+    with isolated_memo():
+        warm = set()
+        for region in regions(device.platform):
+            data = live(device.platform, region)
+            assert measure_code(device.platform.bus, *region) == \
+                reference_digest(data)
+            warm.add(full_blocks(data))
+        warmed = memo_stats()
 
-    platform = mutate(device, golden)
+        platform = mutate(device, golden)
 
-    changed = 0
-    for region in regions(platform):
-        data = live(platform, region)
-        digest = measure_code(platform.bus, *region)
-        assert digest == reference_digest(data), region
-        changed += data != warm.get(region)
-    if changes is not None:
-        assert bool(changed) == changes
+        changed = 0
+        for region in regions(platform):
+            data = live(platform, region)
+            before = memo_stats()
+            digest = measure_code(platform.bus, *region)
+            assert digest == reference_digest(data), region
+            if full_blocks(data) in warm:
+                assert memo_stats(since=before)["hits"] == 1, region
+            else:
+                changed += 1
+        if changes is not None:
+            assert bool(changed) == changes
+        if changed:
+            # The new bytes were absorbed at least once: by the
+            # re-measurement, or earlier by the boot that wrote them.
+            assert memo_stats(since=warmed)["misses"] >= 1
 
 
 def test_quote_matches_reference(golden):
@@ -208,3 +249,121 @@ def test_quote_matches_reference(golden):
         len(KEY).to_bytes(4, "little") + KEY + material
     )
     assert device.compute_quote(bytes(8), 2)[0] == expected
+
+
+def test_memo_hits_on_repeated_quotes(golden):
+    device = fresh_device(golden)
+    with isolated_memo():
+        device.compute_quote(bytes(8), 1)
+        first = memo_stats()
+        device.compute_quote(bytes(8), 2)
+        again = memo_stats(since=first)
+    assert first["misses"] == len(regions(device.platform))
+    assert again == {"hits": first["misses"], "misses": 0,
+                     "retained_bytes": first["retained_bytes"]}
+
+
+# ---------------------------------------------------------------------------
+# The memo itself: aliasing, the byte bound, the input contract.
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_mutating_the_source_in_place_changes_the_digest(wrap):
+    source = bytearray(CYCLE[:600])
+    data = source if wrap is bytearray else memoryview(source)
+    with isolated_memo():
+        first = sponge_hash(data)
+        source[300] ^= 0x01
+        second = sponge_hash(data)
+        assert second != first
+        assert second == reference_digest(bytes(source))
+        source[300] ^= 0x01
+        assert sponge_hash(data) == first
+        assert memo_stats() == {"hits": 1, "misses": 2,
+                                "retained_bytes": 2 * 600}
+
+
+def test_key_prefixed_messages_share_the_memo():
+    """A MAC's message absorbs from the keyed state, so one message
+    under two keys is two entries, and a repeat under either hits."""
+    message = CYCLE[:512]
+    keys = (b"key-one!", b"key-two!")
+    with isolated_memo():
+        for _ in range(2):
+            tags = [
+                SpongeHash().update(key).update(message).digest()
+                for key in keys
+            ]
+        stats = memo_stats()
+    assert tags == [reference_digest(key + message) for key in keys]
+    assert tags[0] != tags[1]
+    assert stats["misses"] == 2 and stats["hits"] == 2
+
+
+def test_below_threshold_and_oversized_inputs_skip_the_memo():
+    small = CYCLE[:sponge.MEMO_MIN_BYTES - 1]
+    with isolated_memo(max_bytes=1024):
+        assert sponge_hash(small) == reference_digest(small)
+        assert sponge_hash(CYCLE[:1600]).hex() == SPONGE_KAT[1600]
+        assert memo_stats() == {"hits": 0, "misses": 0,
+                                "retained_bytes": 0}
+
+
+def test_bound_clears_instead_of_growing():
+    with isolated_memo(max_bytes=1024):
+        retained = []
+        for start in (0, 8, 16):
+            sponge_hash(CYCLE[start:start + 400])
+            retained.append(memo_stats()["retained_bytes"])
+        assert retained == [400, 800, 400]
+        assert len(sponge._memo) == 1
+
+
+@pytest.mark.parametrize("bad", [5, "text", None])
+def test_contract_is_unchanged_above_the_threshold(bad):
+    hasher = SpongeHash().update(CYCLE[:300])
+    with pytest.raises(TypeError):
+        hasher.update(bad)
+    hasher.digest()
+    with pytest.raises(ValueError):
+        hasher.update(CYCLE[:300])
+
+
+#: Inputs for the property: known-answer prefixes (some below the
+#: threshold, 1600 above the small test bound) and their one-bit
+#: variants, drawn with repeats.
+PREFIXES = sorted(SPONGE_KAT) + [256, 300, 511, 700, 1000]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(PREFIXES),
+            st.integers(min_value=-1, max_value=1599),
+            st.lists(st.integers(min_value=0, max_value=1600), max_size=4),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_property_memo_equals_reference(messages):
+    """Random chunkings of repeated inputs, under a bound small enough
+    that they force clears, always equal the reference digest and the
+    known-answer vectors; retained bytes never pass the bound."""
+    bound = 2048
+    with isolated_memo(max_bytes=bound):
+        for length, flip, cuts in messages:
+            data = bytearray(CYCLE[:length])
+            if 0 <= flip < length:
+                data[flip] ^= 0x80
+            hasher = SpongeHash()
+            start = 0
+            for end in sorted(min(cut, length) for cut in cuts) + [length]:
+                hasher.update(data[start:end])
+                start = end
+                assert memo_stats()["retained_bytes"] <= bound
+            digest = hasher.digest()
+            assert digest == reference_digest(bytes(data))
+            if not 0 <= flip < length and length in SPONGE_KAT:
+                assert digest.hex() == SPONGE_KAT[length]

@@ -202,6 +202,8 @@ class TestShardedRuns:
         # An undisturbed run performs no recovery at all.
         assert execution["recovery"]["recoveries"] == 0
         assert execution["recovery"]["degraded"] == 0
+        # Quotes re-measure the code the golden boot measured.
+        assert execution["sponge_memo"]["hits"] > 0
         assert report["fleet"]["snapshot_blob_bytes"] > 0
         assert report["ok"] is True
         json.dumps(report)  # must serialize cleanly

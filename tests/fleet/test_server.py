@@ -86,6 +86,9 @@ class TestReportShape:
             "execution",
         ):
             assert section in report, f"missing section {section!r}"
+        memo = report["execution"]["sponge_memo"]
+        assert set(memo) == {"hits", "misses", "retained_bytes"}
+        assert memo["hits"] > 0
         json.dumps(report)  # must serialize cleanly
 
     def test_verdict_flags_the_compromised_device(self, baseline_report):

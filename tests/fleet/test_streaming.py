@@ -84,6 +84,21 @@ class TestShardMerger:
         assert merger.timings["hydrate_s"] == pytest.approx(0.75)
         assert merger.timings["execute_s"] == pytest.approx(4.5)
 
+    def test_folds_worker_sponge_memo_counts(self):
+        merger = ShardMerger(rounds=1)
+        for index, result in enumerate(self.RESULTS):
+            merger.add({**result, "sponge_memo": {
+                "hits": 10 * index, "misses": 1,
+                "retained_bytes": 1000 - index,
+            }})
+        assert merger.sponge_memo == {
+            "hits": 30, "misses": 3, "retained_bytes": 1000,
+        }
+        rounds, metrics, _transport = merger.finish()
+        assert "sponge_memo" not in json.dumps(
+            [rounds, metrics.to_dict()]
+        )
+
     def test_tolerates_missing_timings(self):
         result = _fake_result(0, 0, latency=1)
         del result["timings"]

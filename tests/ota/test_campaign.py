@@ -54,6 +54,11 @@ class TestHappyPath:
                 assert verdict["verdict"] == UPDATED
                 assert verdict["fw_version"] == 2
 
+    def test_sponge_memo_counts_only_under_execution(self, report):
+        memo = report["execution"]["sponge_memo"]
+        assert memo["hits"] > 0 and memo["retained_bytes"] > 0
+        assert "sponge_memo" not in _payload(report)
+
     def test_report_is_json_clean(self, report):
         assert json.loads(json.dumps(report)) == report
 
@@ -66,9 +71,16 @@ class TestHappyPath:
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, config, report):
         again = run_campaign(config, workers=1)
-        assert json.dumps(again, sort_keys=True) == json.dumps(
-            report, sort_keys=True
-        )
+        # A rerun in the same process finds the sponge memo warm, so
+        # its counts are the one field that reads process history.
+        assert again["execution"]["sponge_memo"]["hits"] > 0
+
+        def without_memo(one):
+            one = json.loads(json.dumps(one))
+            one["execution"].pop("sponge_memo")
+            return json.dumps(one, sort_keys=True)
+
+        assert without_memo(again) == without_memo(report)
 
     def test_worker_count_does_not_change_payload(self, config, report):
         two = run_campaign(config, workers=2)
