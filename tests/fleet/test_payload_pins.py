@@ -58,6 +58,14 @@ FAULTS_SHA256 = (
     "53cf265d46322a3afab3936c9aced26d"
     "370322a0053d60495fa7c39acb39dba8"
 )
+# The default campaign steps each stepped scenario's guest for 2000
+# cycles, long enough for its code to get hot.  ``irq_storm`` draws
+# once per interrupt poll, so this digest also pins the engine the
+# campaign's clones run on (356 storm interrupts at seed 0).
+FAULTS_DEFAULT_SHA256 = (
+    "340fa8f5cc798896fbae37d79961c4cc"
+    "98bfdef97ed100f9e99b4eca34863c88"
+)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -90,3 +98,8 @@ def test_faults_payload_pinned():
         CampaignConfig(seed=2, rounds=1, step_cycles=500, codec_trials=3)
     )
     assert _payload_sha256(report) == FAULTS_SHA256
+
+
+def test_faults_default_payload_pinned():
+    report = run_fault_campaign(CampaignConfig(seed=0))
+    assert _payload_sha256(report) == FAULTS_DEFAULT_SHA256

@@ -5,11 +5,14 @@ routing cache) and the trace engine stacked on top of it (recorded
 superinstruction regions, :mod:`repro.machine.traces`) claim to be
 semantically invisible.  This harness *proves* it per workload: every
 canned guest program is run on the reference engine
-(``fastpath=False``) and once per cached tier (``fast``, ``trace``),
-and the platforms must end in bit-identical architectural state:
-register file, memories, device internals, EA-MPU region file, pending
-interrupts, cycle totals, retired-instruction counts, fault addresses,
-and the complete retired-instruction trace stream.
+(``fastpath=False``) and twice on the cached engine, and the
+platforms must end in bit-identical architectural state: register
+file, memories, device internals, EA-MPU region file, pending
+interrupts, cycle totals, retired-instruction counts and fault
+addresses.  A retire hook makes the trace tier run its observed
+closures, so one cached run attaches a tracer and must also emit the
+complete retired-instruction stream, while the other attaches none and
+runs the plain closures every fleet device runs.
 
 MPU counter discipline: ``checks`` and ``faults`` must match exactly
 (a lookaside hit is still a check, and a trace entry charges exactly
@@ -66,20 +69,27 @@ WORKLOADS = {
     ),
 }
 
-#: The cached engine tiers, each diffed against the reference.
-ENGINES = {
-    "fast": {"fastpath": True},
-    "trace": {"fastpath": True, "trace": True},
-}
+#: Constructor arguments of the cached engine.
+CACHED = {"fastpath": True, "trace": True}
+
+#: The cached runs, each diffed against the reference, by whether a
+#: retire hook (a tracer) is attached.
+ENGINES = {"trace": True, "trace-unobserved": False}
 
 MAX_CYCLES = 150_000
 TRACE_CAPACITY = 1 << 17
 
 
-def _run(build_image, **engine):
+def _tracer(platform, observed=True):
+    if not observed:
+        return None
+    return Tracer(capacity=TRACE_CAPACITY).attach(platform.cpu)
+
+
+def _run(build_image, observed=True, **engine):
     platform = TrustLitePlatform(**engine)
     platform.boot(build_image())
-    tracer = Tracer(capacity=TRACE_CAPACITY).attach(platform.cpu)
+    tracer = _tracer(platform, observed)
     platform.run(max_cycles=MAX_CYCLES)
     return platform, tracer
 
@@ -107,6 +117,8 @@ def _assert_identical(fast, slow, fast_trace, slow_trace):
     # The reference engine never consults a lookaside.
     assert slow.mpu.stats.lookaside_hits == 0
     assert slow.mpu.stats.lookaside_misses == 0
+    if fast_trace is None:
+        return
     # Retired-instruction streams are identical, entry by entry.
     assert fast_trace.retired == slow_trace.retired
     assert fast_trace.dropped == slow_trace.dropped
@@ -119,8 +131,8 @@ def test_lockstep(name):
     build_image = WORKLOADS[name]
     slow, slow_trace = _run(build_image, fastpath=False)
     assert slow_trace.retired > 0, "workload retired no instructions"
-    for engine_name, engine in ENGINES.items():
-        cached, cached_trace = _run(build_image, **engine)
+    for engine_name, observed in ENGINES.items():
+        cached, cached_trace = _run(build_image, observed, **CACHED)
         try:
             _assert_identical(cached, slow, cached_trace, slow_trace)
         except AssertionError as exc:
@@ -132,12 +144,13 @@ def test_lockstep(name):
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 def test_lockstep_warm_reset(engine_name):
     """Re-boot through the loader (MPU reprogramming) stays identical."""
-    cached, _ = _run(WORKLOADS["two-counter"], **ENGINES[engine_name])
+    observed = ENGINES[engine_name]
+    cached, _ = _run(WORKLOADS["two-counter"], observed, **CACHED)
     slow, _ = _run(WORKLOADS["two-counter"], fastpath=False)
     for platform in (cached, slow):
         platform.warm_reset()
-    cached_trace = Tracer(capacity=TRACE_CAPACITY).attach(cached.cpu)
-    slow_trace = Tracer(capacity=TRACE_CAPACITY).attach(slow.cpu)
+    cached_trace = _tracer(cached, observed)
+    slow_trace = _tracer(slow)
     cached.run(max_cycles=60_000)
     slow.run(max_cycles=60_000)
     _assert_identical(cached, slow, cached_trace, slow_trace)
@@ -146,11 +159,12 @@ def test_lockstep_warm_reset(engine_name):
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 def test_lockstep_across_snapshot_clone(engine_name):
     """A clone of a warmed cached platform replays like the reference."""
-    cached, _ = _run(WORKLOADS["ipc"], **ENGINES[engine_name])
+    observed = ENGINES[engine_name]
+    cached, _ = _run(WORKLOADS["ipc"], observed, **CACHED)
     slow, _ = _run(WORKLOADS["ipc"], fastpath=False)
-    clone = Snapshot.save(cached).clone(**ENGINES[engine_name])
-    clone_trace = Tracer(capacity=TRACE_CAPACITY).attach(clone.cpu)
-    slow_trace = Tracer(capacity=TRACE_CAPACITY).attach(slow.cpu)
+    clone = Snapshot.save(cached).clone(**CACHED)
+    clone_trace = _tracer(clone, observed)
+    slow_trace = _tracer(slow)
     clone.run(max_cycles=60_000)
     slow.run(max_cycles=60_000)
     snap_clone = Snapshot.save(clone)
@@ -158,7 +172,9 @@ def test_lockstep_across_snapshot_clone(engine_name):
     assert snap_clone.cpu == snap_slow.cpu
     assert snap_clone.mpu == snap_slow.mpu
     assert snap_clone.devices == snap_slow.devices
-    assert clone_trace.entries == slow_trace.entries
+    assert snap_clone.irq_pending == snap_slow.irq_pending
+    if observed:
+        assert clone_trace.entries == slow_trace.entries
 
 
 def _log_irq_deliveries(platform) -> list[tuple[int, int]]:
@@ -181,19 +197,18 @@ def test_idle_spin_takes_every_tick_on_the_reference_cycle(name):
     timer ticks.  Every tier must take each tick at the very cycle the
     reference engine does, and agree on the rest of the machine."""
 
-    def run(**engine):
+    def run(observed=True, **engine):
         platform = TrustLitePlatform(**engine)
         platform.boot(WORKLOADS[name]())
         log = _log_irq_deliveries(platform)
+        _tracer(platform, observed)
         platform.run(max_cycles=MAX_CYCLES)
         return platform, log
 
     slow, slow_log = run(fastpath=False)
     assert len(slow_log) > 10, "the timer never ticked"
-    cached_by_engine = {}
-    for engine_name, engine in ENGINES.items():
-        cached, cached_log = run(**engine)
-        cached_by_engine[engine_name] = cached
+    for engine_name, observed in ENGINES.items():
+        cached, cached_log = run(observed, **CACHED)
         assert cached_log == slow_log, f"{engine_name}: IRQ cycles moved"
         assert Snapshot.save(cached).cpu == Snapshot.save(slow).cpu
         assert cached.cpu.cycles == slow.cpu.cycles
@@ -202,13 +217,12 @@ def test_idle_spin_takes_every_tick_on_the_reference_cycle(name):
             == slow.cpu.instructions_retired
         )
         assert cached.mpu.stats.checks == slow.mpu.stats.checks
-    # Between ticks the spin dominates, and the trace tier runs it.
-    traced = cached_by_engine["trace"]
-    traced_share = (
-        traced.cpu.fastpath.traces.stats["instructions"]
-        / traced.cpu.instructions_retired
-    )
-    assert traced_share >= 0.8
+        # Between ticks the spin dominates, and the trace tier runs it.
+        traced_share = (
+            cached.cpu.fastpath.traces.stats["instructions"]
+            / cached.cpu.instructions_retired
+        )
+        assert traced_share >= 0.8, f"{engine_name}: {traced_share:.2f}"
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
@@ -220,7 +234,7 @@ def test_revoked_entry_vector_faults_on_the_reference_cycle(engine_name):
     image = WORKLOADS["two-counter"]()
     entry = image.layout_of("TL-A").entry
 
-    def run(**engine):
+    def run(observed=True, **engine):
         platform = TrustLitePlatform(**engine)
         platform.boot(image)
         faults: list[tuple[int, int, int]] = []
@@ -231,9 +245,9 @@ def test_revoked_entry_vector_faults_on_the_reference_cycle(engine_name):
             return deliver(cpu, fault)
 
         platform.engine.deliver_fault = logged
-        tracer = Tracer(capacity=TRACE_CAPACITY).attach(platform.cpu)
+        tracer = _tracer(platform, observed)
         platform.run(max_cycles=60_000)
-        if engine.get("trace"):
+        if engine.get("fastpath"):
             # The scheduler's jmpr into the entry runs warm: the entry
             # path is a recorded trace when the rule goes.
             assert entry in platform.cpu.fastpath.traces._traces
@@ -248,7 +262,9 @@ def test_revoked_entry_vector_faults_on_the_reference_cycle(engine_name):
         return platform, tracer, faults
 
     slow, slow_trace, slow_faults = run(fastpath=False)
-    cached, cached_trace, cached_faults = run(**ENGINES[engine_name])
+    cached, cached_trace, cached_faults = run(
+        ENGINES[engine_name], **CACHED
+    )
     assert slow_faults and slow_faults[0][2] == entry
     assert cached_faults == slow_faults
     _assert_identical(cached, slow, cached_trace, slow_trace)
@@ -259,7 +275,7 @@ def test_timer_isr_runs_as_a_trace():
     interrupt vector; the trace tier records it there and, with the
     idle spin, runs nearly every instruction of the workload."""
     image = WORKLOADS["attestation"]()
-    traced, _ = _run(lambda: image, **ENGINES["trace"])
+    traced, _ = _run(lambda: image, **CACHED)
     traces = traced.cpu.fastpath.traces
     assert image.layout_of("OS").symbol("isr_timer") in traces._traces
     share = traces.stats["instructions"] / traced.cpu.instructions_retired
