@@ -144,27 +144,29 @@ def test_fleet_scale():
             "stages": _rounded_stages(stages),
         }
 
-    # The runs above use the default trace tier; replay the same
-    # prepared run on the fast engine as the oracle.  Trace counters
-    # land in the metrics, so the comparison drops the metrics section
-    # — engine choice may change cache observability, never the
-    # attestation payload.
-    fast_workers = max(WORKER_COUNTS)
-    fast_plan = ExecutionPlan(
-        workers=fast_workers, shard_size=16, engine="fast"
+    # The runs above use the default trace engine; replay the same
+    # prepared run on the reference engine as the oracle.  Cache and
+    # trace counters land in the metrics, so the comparison drops the
+    # metrics section — engine choice may change cache observability,
+    # never the attestation payload.
+    reference_workers = max(WORKER_COUNTS)
+    reference_plan = ExecutionPlan(
+        workers=reference_workers, shard_size=16, engine="reference"
     )
-    fast_report, fast_elapsed, _stages = _timed_run(prepared, fast_plan)
-    assert fast_report.pop("execution")["engine"] == "fast"
-    fast_report.pop("metrics")
+    reference_report, reference_elapsed, _stages = _timed_run(
+        prepared, reference_plan
+    )
+    assert reference_report.pop("execution")["engine"] == "reference"
+    reference_report.pop("metrics")
     baseline_sans_metrics = json.loads(baseline_json)
     baseline_sans_metrics.pop("metrics")
-    assert json.dumps(fast_report, sort_keys=True) == json.dumps(
+    assert json.dumps(reference_report, sort_keys=True) == json.dumps(
         baseline_sans_metrics, sort_keys=True
     ), "trace engine changed the attestation payload"
-    fast_engine = {
-        "workers": fast_workers,
-        "seconds": round(fast_elapsed, 3),
-        "devices_per_sec": round(DEVICES * ROUNDS / fast_elapsed, 1),
+    reference_engine = {
+        "workers": reference_workers,
+        "seconds": round(reference_elapsed, 3),
+        "devices_per_sec": round(DEVICES * ROUNDS / reference_elapsed, 1),
     }
 
     base = results[str(WORKER_COUNTS[0])]["seconds"]
@@ -211,11 +213,11 @@ def test_fleet_scale():
     lines.append(
         "  determinism: reports byte-identical across workers "
         "(inline vs shared-memory blob shipping) and across the "
-        "fast vs trace execution engines"
+        "reference vs trace execution engines"
     )
     lines.append(
-        f"  fast engine: {fast_engine['devices_per_sec']:.1f} "
-        f"devices/s at {fast_engine['workers']} worker(s); trace "
+        f"  reference engine: {reference_engine['devices_per_sec']:.1f} "
+        f"devices/s at {reference_engine['workers']} worker(s); trace "
         "counters "
         + " ".join(
             f"{name.removeprefix('fleet_trace_')}={value}"
@@ -247,10 +249,10 @@ def test_fleet_scale():
             "host_cores": cores["usable"],
             "host_cores_evidence": cores,
             "deterministic_across_workers": True,
-            "deterministic_fast_vs_trace_engine": True,
+            "deterministic_reference_vs_trace_engine": True,
             "workloads": results,
             "trace_counters": trace_counters,
-            "fast_engine": fast_engine,
+            "reference_engine": reference_engine,
             "large": large,
         },
     )

@@ -1,16 +1,15 @@
-"""Host execution throughput: trace/fast-path engines vs reference.
+"""Host execution throughput: the trace engine vs reference.
 
-The fast path (decode cache + EA-MPU lookaside + bus routing cache,
-:mod:`repro.machine.fastpath`) and the trace engine stacked on top of
-it (:mod:`repro.machine.traces`) exist to make the simulator fast
+The cached engine — decode cache, EA-MPU lookaside and bus routing
+cache (:mod:`repro.machine.fastpath`) with recorded traces on top
+(:mod:`repro.machine.traces`) — exists to make the simulator fast
 enough for fleet-scale experiments without changing a single
 architectural outcome.  This benchmark pins the speed half of that
 claim — the correctness half is pinned by
 ``tests/integration/test_lockstep.py``.
 
-Four workloads, each run on three engine tiers (``reference`` =
-``fastpath=False``, ``fast`` = ``fastpath=True``, ``trace`` =
-``fastpath=True, trace=True``):
+Four workloads, each run on both engines (``reference`` =
+``fastpath=False``, ``trace`` = ``fastpath=True``):
 
 * ``busy-loop``          — a register-only spin under a compute-sized
   scheduling quantum; the trace engine's best case and the dominant
@@ -53,9 +52,7 @@ from repro.sw.images import build_ipc_heavy_image, build_ipc_image, os_module
 
 CYCLES = int(os.environ.get("HOST_BENCH_CYCLES", "400000"))
 REPEATS = int(os.environ.get("HOST_BENCH_REPEATS", "3"))
-#: Fast tier on busy-loop (the PR-3 floor, unchanged).
-SPEEDUP_FLOOR = bench_floor(3.0)
-#: Trace tier floors (ISSUE 9): busy-loop and the IPC-heavy workload.
+#: Trace engine floors: busy-loop and the IPC-heavy workload.
 TRACE_FLOOR_BUSY = bench_floor(15.0)
 TRACE_FLOOR_IPC_HEAVY = bench_floor(8.0)
 MEMCPY_WORDS = 64
@@ -66,8 +63,7 @@ BUSY_QUANTUM = 2000
 
 ENGINES = {
     "reference": {"fastpath": False},
-    "fast": {"fastpath": True},
-    "trace": {"fastpath": True, "trace": True},
+    "trace": {"fastpath": True},
 }
 
 
@@ -141,8 +137,8 @@ def _engine_stats(platform) -> dict:
             "regions_scanned": mpu_stats.regions_scanned,
         },
     }
-    if fp.traces is not None:
-        stats["traces"] = fp.traces.stats
+    if fp.trace_stats is not None:
+        stats["traces"] = fp.trace_stats
     return stats
 
 
@@ -165,8 +161,8 @@ def _throughput(build_image, engine: dict) -> tuple[float, int, dict]:
 
 
 def test_host_throughput():
-    """Fast >= 3x and trace >= 15x on busy-loop, trace >= 8x on
-    IPC-heavy; every engine retires the identical instruction count."""
+    """Trace >= 15x on busy-loop and >= 8x on IPC-heavy; both engines
+    retire the identical instruction count."""
     results = {}
     for name, build_image in WORKLOADS.items():
         rows = {}
@@ -189,9 +185,7 @@ def test_host_throughput():
         reference = rows["reference"]
         results[name] = {
             "reference_ips": round(reference),
-            "fast_ips": round(rows["fast"]),
             "trace_ips": round(rows["trace"]),
-            "fast_speedup": round(rows["fast"] / reference, 2),
             "trace_speedup": round(rows["trace"] / reference, 2),
             "retired": baseline_retired,
             "stats": stats,
@@ -200,17 +194,16 @@ def test_host_throughput():
     lines = [
         f"host throughput, {CYCLES} simulated cycles, "
         f"best of {REPEATS}",
-        f"  {'workload':<20}{'reference':>12}{'fast':>9}{'trace':>9}",
+        f"  {'workload':<20}{'reference':>12}{'trace':>9}",
     ]
     for name, row in results.items():
         lines.append(
             f"  {name:<20}{row['reference_ips']:>10}/s"
-            f"{row['fast_speedup']:>8.2f}x{row['trace_speedup']:>8.2f}x"
+            f"{row['trace_speedup']:>8.2f}x"
         )
     lines.append(
-        f"  floors: fast busy-loop >= {SPEEDUP_FLOOR:.1f}x, trace "
-        f"busy-loop >= {TRACE_FLOOR_BUSY:.1f}x, trace ipc-heavy >= "
-        f"{TRACE_FLOOR_IPC_HEAVY:.1f}x"
+        f"  floors: trace busy-loop >= {TRACE_FLOOR_BUSY:.1f}x, trace "
+        f"ipc-heavy >= {TRACE_FLOOR_IPC_HEAVY:.1f}x"
     )
     write_artifact("host_throughput.txt", "\n".join(lines))
 
@@ -219,18 +212,12 @@ def test_host_throughput():
         {
             "cycles": CYCLES,
             "repeats": REPEATS,
-            "speedup_floor": SPEEDUP_FLOOR,
             "trace_floor_busy": TRACE_FLOOR_BUSY,
             "trace_floor_ipc_heavy": TRACE_FLOOR_IPC_HEAVY,
             "workloads": results,
         },
     )
 
-    fast_busy = results["busy-loop"]["fast_speedup"]
-    assert fast_busy >= SPEEDUP_FLOOR, (
-        f"busy-loop fast speedup only {fast_busy:.2f}x "
-        f"(floor {SPEEDUP_FLOOR}x)"
-    )
     trace_busy = results["busy-loop"]["trace_speedup"]
     assert trace_busy >= TRACE_FLOOR_BUSY, (
         f"busy-loop trace speedup only {trace_busy:.2f}x "

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--adaptive-shards", action="store_true",
                        help="size shards from measured per-device "
                             "cost instead of --shard-size")
-    fleet.add_argument("--engine", choices=("fast", "reference", "trace"),
+    fleet.add_argument("--engine", choices=("reference", "trace"),
                        default="trace",
                        help="execution engine for hydrated clones "
                             "(default: %(default)s; every engine "

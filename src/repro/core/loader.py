@@ -399,10 +399,6 @@ class SecureLoader:
 
     # ------------------------------------------------------------------
 
-    def _write_word(self, report: BootReport, address: int, value: int) -> None:
-        self.bus.write_word(address, value)
-        report.memory_words_written += 1
-
     def _load_module(
         self, module: ParsedModule, report: BootReport, *, wipe_data: bool
     ) -> None:
@@ -416,8 +412,10 @@ class SecureLoader:
                 (module.data_base, module.data_size),
                 (module.stack_base, module.stack_size),
             ):
-                for address in range(base, base + size, 4):
-                    self._write_word(report, address, 0)
+                words = (size + 3) // 4
+                if words:
+                    layout.write_words(self.bus, base, [0] * words)
+                    report.memory_words_written += words
 
         # Measure / verify the code region.
         measurement = b""

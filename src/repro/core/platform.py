@@ -64,17 +64,14 @@ class TrustLitePlatform:
         with_dma: bool = False,
         checked_dma: bool = True,
         fastpath: bool = True,
-        trace: bool = False,
     ) -> None:
-        # ``fastpath=False`` selects the uncached reference engine and
-        # ``trace=True`` the recording trace tier; neither is part of
-        # the snapshot-compatibility config — all engines are
-        # architecturally identical.
+        # ``fastpath=False`` selects the uncached reference engine; it
+        # is not part of the snapshot-compatibility config — both
+        # engines are architecturally identical.
         self.soc = SoC(
             flash_prom=flash_prom,
             with_dma=with_dma,
             fastpath=fastpath,
-            trace=trace,
         )
         self.mpu = EaMpu(num_regions=num_mpu_regions)
         self.mpu_frontend = MpuMmioFrontend(self.mpu)

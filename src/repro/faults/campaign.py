@@ -48,7 +48,11 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
-from repro.fleet.parallel import golden_boot, hydrate_devices
+from repro.fleet.parallel import (
+    ENGINE_REFERENCE,
+    golden_boot,
+    hydrate_devices,
+)
 from repro.fleet.service import device_key
 from repro.fleet.transport import (
     FaultModel,
@@ -127,11 +131,18 @@ class ScenarioTask:
 
 
 def _hydrate(task: ScenarioTask, *device_ids: int) -> dict[int, FleetDevice]:
-    """Clone the scenario's devices from the golden blob."""
+    """Clone the scenario's devices from the golden blob.
+
+    The clones run on the reference engine.  ``irq_storm`` draws once
+    per interrupt poll, which is once per instruction there but once
+    per trace batch on the trace engine, so the storm (and with it the
+    report) would change with the engine.
+    """
     return hydrate_devices(
         task.snapshot_blob,
         {device_id: device_key(task.config.seed, device_id)
          for device_id in device_ids},
+        engine=ENGINE_REFERENCE,
     )
 
 

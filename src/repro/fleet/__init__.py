@@ -45,7 +45,6 @@ from repro.fleet.loadgen import (
 )
 from repro.fleet.metrics import Counter, Histogram, MetricsRegistry
 from repro.fleet.parallel import (
-    ENGINE_FAST,
     ENGINE_REFERENCE,
     ENGINE_TRACE,
     ENGINES,
@@ -108,7 +107,6 @@ __all__ = [
     "CostModel",
     "Counter",
     "DeviceVerdict",
-    "ENGINE_FAST",
     "ENGINE_REFERENCE",
     "ENGINE_TRACE",
     "ENGINES",

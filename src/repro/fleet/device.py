@@ -59,7 +59,7 @@ class FleetDevice:
         self.challenges_answered = 0
         self.tampered_modules: list[str] = []
         # Instructions the guest retired under step_cycles: identical
-        # on every engine tier, so fleet reports can express traced
+        # on both engines, so fleet reports can express traced
         # instructions as a share of the guest's work.
         self.guest_instructions = 0
         # Optional per-device execution tracer; when attached, its ring

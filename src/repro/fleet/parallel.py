@@ -65,10 +65,9 @@ from repro.sw.images import build_attestation_image
 if TYPE_CHECKING:
     from repro.fleet.service import FleetConfig
 
-ENGINE_FAST = "fast"
 ENGINE_REFERENCE = "reference"
 ENGINE_TRACE = "trace"
-ENGINES = (ENGINE_FAST, ENGINE_REFERENCE, ENGINE_TRACE)
+ENGINES = (ENGINE_REFERENCE, ENGINE_TRACE)
 
 
 def engine_kwargs(engine: str) -> dict:
@@ -77,10 +76,7 @@ def engine_kwargs(engine: str) -> dict:
         raise FleetError(
             f"unknown engine {engine!r}; choose from {ENGINES}"
         )
-    return {
-        "fastpath": engine != ENGINE_REFERENCE,
-        "trace": engine == ENGINE_TRACE,
-    }
+    return {"fastpath": engine == ENGINE_TRACE}
 
 DEFAULT_SHARD_SIZE = 16
 
@@ -92,9 +88,9 @@ class ExecutionPlan:
     ``workers`` is the process count, ``shard_size`` the devices per
     shard (``None`` asks :func:`repro.fleet.pool.adaptive_shard_size`
     to size shards from measured per-device cost), ``engine`` the
-    execution engine of the hydrated clones (the trace tier by
-    default: it batches the kernel's idle spin between rounds, and a
-    clone that never steps a guest never builds a trace engine).
+    execution engine of the hydrated clones (the cached trace engine
+    by default: it batches the kernel's idle spin between rounds, and
+    a clone that never steps a guest never builds its traces).
     With ``workers > 1`` the golden blob ships once via shared memory
     and the workers come from the persistent warm-pool registry.  None
     of these may change verdicts or aggregated metrics — the
@@ -157,11 +153,12 @@ def shard_ids(devices: int, shard_size: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.cache
-def attestation_image():
-    """This process's attestation image, built once and shared by the
-    golden boot and every hydrated device (tampering needs its layouts).
+def attestation_image(timer_period: int = 2000):
+    """This process's attestation image, built once per timer period
+    and shared by the golden boot, every hydrated device (tampering
+    needs its layouts) and the OTA containers.
     """
-    return build_attestation_image()
+    return build_attestation_image(timer_period=timer_period)
 
 
 class GoldenBoot(NamedTuple):
@@ -226,7 +223,7 @@ def hydrate_devices(
     keys: dict[int, bytes],
     *,
     compromised: tuple[int, ...] = (),
-    engine: str = ENGINE_FAST,
+    engine: str = ENGINE_TRACE,
     trace_capacity: int = 0,
 ) -> dict[int, FleetDevice]:
     """Clone one keyed :class:`FleetDevice` per ``keys`` entry.
@@ -261,8 +258,8 @@ def collect_device_perf(device: FleetDevice, metrics: MetricsRegistry) -> None:
 
     Surfaces the instructions the guest retired while stepping and
     the bytes of memory the clone copied on first write (both the same
-    on every engine), the fast-path observability (decode cache,
-    EA-MPU lookaside, bus routing memo, trace tier) and tracer
+    on every engine), the cached engine's observability (decode cache,
+    EA-MPU lookaside, bus routing memo, traces) and tracer
     ring-buffer drops at fleet level, so per-shard perf is visible in
     every report.
     """

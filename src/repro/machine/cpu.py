@@ -89,7 +89,6 @@ class Cpu:
         irq: InterruptController | None = None,
         reset_vector: int = 0,
         fastpath: bool = True,
-        trace: bool = False,
     ) -> None:
         self.bus = bus
         self.irq = irq if irq is not None else InterruptController()
@@ -104,13 +103,10 @@ class Cpu:
         # the curr_IP subject the EA-MPU sees (paper Fig. 2).
         self.curr_ip = reset_vector
         # ``fastpath=False`` is the reference engine: no decode cache,
-        # no MPU lookaside.  ``trace=True`` stacks the recording trace
-        # engine on top of the fast path.  Semantics are identical on
-        # all three tiers — the lockstep differential harness enforces
-        # that.
-        if trace and not fastpath:
-            raise MachineError("trace engine requires fastpath=True")
-        self.fastpath = FastPath(self, trace=trace) if fastpath else None
+        # no MPU lookaside, no traces.  The cached engine records traces
+        # once it takes budgeted steps.  Semantics are identical on both
+        # — the lockstep differential harness enforces that.
+        self.fastpath = FastPath(self) if fastpath else None
         # Callable returning cycles until the next device event (set by
         # the SoC to ``bus.next_event_in``); bounds batched trace runs.
         self.event_horizon: Optional[Callable[[], int | None]] = None
@@ -283,7 +279,7 @@ class Cpu:
         whole recorded trace batch (many instructions, one return
         value), never exceeding it.  Without one (the default), the
         step retires exactly one instruction, so single-step callers
-        see unchanged semantics even on a ``trace=True`` core.
+        see unchanged semantics even on a core with recorded traces.
         """
         if self.halted:
             return 0
@@ -299,11 +295,8 @@ class Cpu:
                 if traces is not None and budget is not None:
                     traces.note_entry(self.ip)
                 return cycles
-        if (
-            traces is None and budget is not None
-            and fp is not None and fp.trace
-        ):
-            # The first budgeted step on a trace-tier core builds its
+        if traces is None and budget is not None and fp is not None:
+            # The first budgeted step on a cached core builds its trace
             # engine.
             traces = fp.traces
         try:

@@ -35,9 +35,10 @@ simulation analogue, and it must be *semantically invisible*:
 * The bus routing cache (last-mapping memo + bisect + RAM
   short-circuit) lives in :class:`~repro.machine.bus.Bus` itself — it
   is a pure strength reduction with identical fault behaviour, so both
-  engines share it; the ``fastpath=False`` escape hatch on
+  engines share it; the ``fastpath=False`` reference engine on
   :class:`~repro.machine.cpu.Cpu` / :class:`~repro.machine.soc.SoC`
-  disables only the decode cache and the lookaside.
+  disables only the decode cache, the lookaside and the traces built
+  on them.
 
 The differential lockstep harness (``tests/integration/test_lockstep``)
 proves the invisibility claim: every canned workload must produce
@@ -206,15 +207,14 @@ class MpuLookaside:
 class FastPath:
     """Per-CPU fast-path state: decode cache, lookaside, page index."""
 
-    def __init__(self, cpu: "Cpu", trace: bool = False) -> None:
+    def __init__(self, cpu: "Cpu") -> None:
         self.cpu = cpu
         self.bus = cpu.bus
         self.decode_cache = DecodeCache()
         self.lookaside: MpuLookaside | None = None
         # The trace engine is built on first use (the CPU's first
-        # budgeted step): a trace-tier core that is never run, like a
-        # fleet clone that is only attested, pays nothing for it.
-        self.trace = trace
+        # budgeted step): a core that is never run, like a fleet clone
+        # that is only attested, pays nothing for it.
         self._traces: "TraceEngine | None" = None
         # page -> decode-cache addresses and traces with bytes on it.
         self._pages: dict[int, set] = {}
@@ -222,10 +222,9 @@ class FastPath:
         self.bus.add_topology_listener(self._on_topology_change)
 
     @property
-    def traces(self) -> "TraceEngine | None":
-        """The trace engine (built here if needed); ``None`` when the
-        trace tier is off."""
-        if self._traces is None and self.trace:
+    def traces(self) -> "TraceEngine":
+        """The trace engine, built here if needed."""
+        if self._traces is None:
             # Imported here: the trace engine builds on this module.
             from repro.machine.traces import TraceEngine
 

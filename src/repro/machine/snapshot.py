@@ -283,13 +283,13 @@ class Snapshot:
         platform.image = self.image
         platform.boot_report = self.boot_report
 
-    def clone(self, *, fastpath: bool = True, trace: bool = False):
+    def clone(self, *, fastpath: bool = True):
         """A brand-new platform carrying this state (no memory copy).
 
-        ``fastpath``/``trace`` select the execution engine of the clone
-        (the uncached reference, the cached fast path, or the recording
-        trace tier); neither is part of the snapshot because the
-        engines are architecturally identical.
+        ``fastpath`` selects the execution engine of the clone (the
+        cached trace engine or the uncached reference); it is not part
+        of the snapshot because the engines are architecturally
+        identical.
         """
         from repro.core.platform import TrustLitePlatform
 
@@ -301,7 +301,6 @@ class Snapshot:
             flash_prom=self.config.flash_prom,
             with_dma=self.config.with_dma,
             fastpath=fastpath,
-            trace=trace,
         )
         self.restore(platform)
         return platform

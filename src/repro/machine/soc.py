@@ -58,7 +58,6 @@ class SoC:
         flash_prom: bool = False,
         with_dma: bool = False,
         fastpath: bool = True,
-        trace: bool = False,
     ) -> None:
         self.bus = Bus()
         self.irq = InterruptController()
@@ -93,7 +92,6 @@ class SoC:
             self.irq,
             reset_vector=reset_vector,
             fastpath=fastpath,
-            trace=trace,
         )
         # Bound trace batches: a batched run never crosses the next
         # device event, so ``bus.tick(batch)`` fires IRQs at exactly
@@ -104,7 +102,7 @@ class SoC:
         """One CPU step plus device time; returns cycles elapsed.
 
         With a ``budget`` (as :meth:`run` supplies), a step on a
-        ``trace=True`` core may batch-execute a recorded trace — many
+        cached core may batch-execute a recorded trace — many
         instructions, one device tick, identical event timing.
         """
         cycles = self.cpu.step(budget)

@@ -66,7 +66,6 @@ from repro.ota.container import (
     demo_trust_root,
     encode_container,
 )
-from repro.sw.images import build_attestation_image
 
 SCHEMA = "repro.ota/1"
 
@@ -99,7 +98,7 @@ def sign_containers(
         signing_key=root,
     )
     v2 = build_container(
-        build_attestation_image(timer_period=V2_TIMER_PERIOD),
+        attestation_image(V2_TIMER_PERIOD),
         image_name="attestation", fw_version=2, signing_key=root,
     )
     return v1, v2, root

@@ -152,14 +152,14 @@ class TestShardedRuns:
         )
 
     def test_reference_engine_same_verdicts(self):
-        fast, _ = self._report(ExecutionPlan(engine="fast"))
+        cached, _ = self._report(ExecutionPlan())
         reference, execution = self._report(
             ExecutionPlan(engine="reference")
         )
         assert execution["engine"] == "reference"
-        assert fast["rounds"] == reference["rounds"]
-        assert fast["flagged"] == reference["flagged"]
-        assert fast["ok"] == reference["ok"]
+        assert cached["rounds"] == reference["rounds"]
+        assert cached["flagged"] == reference["flagged"]
+        assert cached["ok"] == reference["ok"]
 
     def test_prepared_run_is_reusable(self):
         prepared = prepare_run(FleetConfig(**self.CONFIG))
@@ -231,12 +231,12 @@ class TestPerfCounters:
         counters = report["metrics"]["counters"]
         assert report["execution"]["engine"] == "trace"
         assert counters["fleet_trace_instructions"] > 0
-        fast = run_fleet(config, ExecutionPlan(engine="fast"))
+        reference = run_fleet(config, ExecutionPlan(engine="reference"))
         for section in ("execution", "metrics"):
             report.pop(section)
-            fast.pop(section)
+            reference.pop(section)
         assert json.dumps(report, sort_keys=True) == json.dumps(
-            fast, sort_keys=True
+            reference, sort_keys=True
         )
 
     def test_guest_instructions_match_on_every_engine_and_plan(self):
@@ -248,7 +248,6 @@ class TestPerfCounters:
         )
         plans = (
             ExecutionPlan(),
-            ExecutionPlan(engine="fast"),
             ExecutionPlan(engine="reference"),
             ExecutionPlan(workers=2, shard_size=2),
         )
@@ -279,7 +278,6 @@ class TestPerfCounters:
             ]
             for plan in (
                 ExecutionPlan(),
-                ExecutionPlan(engine="fast"),
                 ExecutionPlan(engine="reference"),
                 ExecutionPlan(workers=2, shard_size=1),
             )

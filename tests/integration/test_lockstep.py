@@ -70,7 +70,7 @@ WORKLOADS = {
 }
 
 #: Constructor arguments of the cached engine.
-CACHED = {"fastpath": True, "trace": True}
+CACHED = {"fastpath": True}
 
 #: The cached runs, each diffed against the reference, by whether a
 #: retire hook (a tracer) is attached.

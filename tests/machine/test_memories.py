@@ -333,9 +333,9 @@ class TestPatchOverTrace:
         self, goldens, stride_patch, flash, path, patch
     ):
         snapshot = goldens[flash]
-        traced = snapshot.clone(trace=True)
+        traced = snapshot.clone()
         reference = snapshot.clone(fastpath=False)
-        untouched = snapshot.clone(trace=True)
+        untouched = snapshot.clone()
         for platform in (traced, reference, untouched):
             platform.run(max_cycles=30_000)
         engine = traced.cpu.fastpath.traces

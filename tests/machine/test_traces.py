@@ -27,15 +27,15 @@ recorded trace is exercised here end to end:
 * device time — a device register read or written inside a batched
   run must see the time the reference engine shows it.
 
-The architectural ground rule throughout: ``trace=True`` may only
-change how fast the simulation runs, never what it computes.
+The architectural ground rule throughout: traces may only change how
+fast the simulation runs, never what it computes.
 """
 
 import pytest
 
 from repro.asm import assemble
 from repro.core.platform import TrustLitePlatform
-from repro.errors import MachineError, MemoryProtectionFault
+from repro.errors import MemoryProtectionFault
 from repro.isa.registers import Reg
 from repro.machine.bus import Bus
 from repro.machine.cpu import Cpu
@@ -53,13 +53,13 @@ RAM_SIZE = 0x8000
 BUDGET = 4_000
 
 
-def _machine(source: str, *, fastpath=True, trace=False) -> Cpu:
+def _machine(source: str, *, fastpath=True) -> Cpu:
     bus = Bus()
     ram = Ram("ram", RAM_SIZE)
     bus.attach(0, ram)
     program = assemble(source, base=0)
     ram.load(0, program.data)
-    cpu = Cpu(bus, fastpath=fastpath, trace=trace)
+    cpu = Cpu(bus, fastpath=fastpath)
     cpu.sp = RAM_SIZE
     cpu._program = program  # symbols for the tests
     return cpu
@@ -88,13 +88,9 @@ loop:
 
 
 class TestEngineContract:
-    def test_trace_requires_fastpath(self):
-        with pytest.raises(MachineError):
-            _machine("main:\n    halt\n", fastpath=False, trace=True)
-
     def test_plain_step_never_enters_traces(self):
         """Single-stepping (no budget) stays on the interpreter."""
-        cpu = _machine(_loop_source(), trace=True)
+        cpu = _machine(_loop_source())
         for _ in range(2_000):
             if cpu.halted:
                 break
@@ -103,7 +99,7 @@ class TestEngineContract:
         assert cpu.fastpath.traces.stats["runs"] == 0
 
     def test_engine_is_built_on_the_first_budgeted_step(self):
-        cpu = _machine(_loop_source(), trace=True)
+        cpu = _machine(_loop_source())
         for _ in range(10):
             cpu.step()
         assert cpu.fastpath.trace_stats is None
@@ -111,7 +107,7 @@ class TestEngineContract:
         assert cpu.fastpath.trace_stats is not None
 
     def test_budgeted_run_batches_and_matches_reference(self):
-        traced = _machine(_loop_source(), trace=True)
+        traced = _machine(_loop_source())
         slow = _machine(_loop_source(), fastpath=False)
         _run(traced)
         _run(slow, budget=None)
@@ -156,7 +152,7 @@ done:
 """
 
     def test_store_into_own_trace_takes_effect_immediately(self):
-        cpu = _machine(self._program(), trace=True)
+        cpu = _machine(self._program())
         _run(cpu)
         # Second pass must execute the patched ``movi r0, 99``, not a
         # stale superinstruction fused from the original bytes.
@@ -167,7 +163,7 @@ done:
         assert stats["invalidations"] >= 1, "patch never killed the trace"
 
     def test_matches_reference_engine(self):
-        traced = _machine(self._program(), trace=True)
+        traced = _machine(self._program())
         slow = _machine(self._program(), fastpath=False)
         _run(traced)
         _run(slow, budget=None)
@@ -189,7 +185,6 @@ loop:
     addi r1, r1, 1
     jmp loop
 """,
-            trace=True,
         )
         mpu = EaMpu(num_regions=8)
         mpu.program_region(0, 0x0000, 0x1000, Perm.RX, subjects=ANY_SUBJECT)
@@ -234,7 +229,7 @@ class TestSnapshotRestoreIntoWarmedTraceCache:
         bytes at the same addresses (counter stride 1 vs 5); a stale
         superinstruction would keep counting with the old stride.
         """
-        warmed = TrustLitePlatform(trace=True)
+        warmed = TrustLitePlatform()
         warmed.boot(build_two_counter_image(timer_period=400))
         warmed.run(max_cycles=60_000)
         assert warmed.cpu.fastpath.traces.stats["recorded"] > 0
@@ -277,11 +272,11 @@ class TestSnapshotRestoreIntoWarmedTraceCache:
         )
 
     def test_clone_starts_with_cold_trace_cache(self):
-        platform = TrustLitePlatform(trace=True)
+        platform = TrustLitePlatform()
         platform.boot(build_two_counter_image(timer_period=400))
         platform.run(max_cycles=60_000)
         assert platform.cpu.fastpath.traces.stats["runs"] > 0
-        clone = Snapshot.save(platform).clone(trace=True)
+        clone = Snapshot.save(platform).clone()
         assert clone.cpu.fastpath.traces.stats["traces"] == 0
         clone.run(max_cycles=40_000)
         # And the clone's trace cache warms independently afterwards.
@@ -308,7 +303,7 @@ class TestIrqDeliveryAtEveryTraceOffset:
             platform.run(max_cycles=40_000)
             return platform, tracer
 
-        traced, traced_stream = run(fastpath=True, trace=True)
+        traced, traced_stream = run(fastpath=True)
         slow, slow_stream = run(fastpath=False)
         snap_traced = Snapshot.save(traced)
         snap_slow = Snapshot.save(slow)
@@ -338,15 +333,14 @@ spin:
         budget itself whenever the spin's cycles divide it."""
         slow = _machine(self.SOURCE, fastpath=False)
         used = slow.run(max_cycles=budget)
-        for engine in ({"trace": False}, {"trace": True}):
-            cpu = _machine(self.SOURCE, **engine)
-            assert cpu.run(max_cycles=budget) == used
-            assert cpu.regs == slow.regs
-            assert cpu.ip == slow.ip
-            assert cpu.curr_ip == slow.curr_ip
-            assert cpu.instructions_retired == slow.instructions_retired
+        cpu = _machine(self.SOURCE)
+        assert cpu.run(max_cycles=budget) == used
+        assert cpu.regs == slow.regs
+        assert cpu.ip == slow.ip
+        assert cpu.curr_ip == slow.curr_ip
+        assert cpu.instructions_retired == slow.instructions_retired
         assert (used == budget) == ((budget - 1) % 3 == 0)
-        # The last cpu is the trace tier: it ran the spin as a trace.
+        # It ran the spin as a trace.
         spun = cpu.fastpath.traces.stats["instructions"]
         assert spun > 0.9 * cpu.instructions_retired
 
@@ -357,7 +351,7 @@ spin:
             cpu.run(max_cycles=3_001)
             return cpu, tracer
 
-        traced, traced_stream = run(trace=True)
+        traced, traced_stream = run()
         slow, slow_stream = run(fastpath=False)
         assert traced.cycles == slow.cycles
         assert traced_stream.retired == slow_stream.retired
@@ -376,7 +370,7 @@ spin:
             platform.run(max_cycles=40_000)
             return platform, tracer
 
-        traced, traced_stream = run(fastpath=True, trace=True)
+        traced, traced_stream = run(fastpath=True)
         slow, slow_stream = run(fastpath=False)
         snap_traced = Snapshot.save(traced)
         snap_slow = Snapshot.save(slow)
@@ -484,7 +478,7 @@ line:
         slow = _machine(self.FAR_PAGE, fastpath=False)
         _run(slow, budget=None)
         assert slow.get_reg(Reg.R3) == 60 + 20 * 100
-        traced = _machine(self.FAR_PAGE, trace=True)
+        traced = _machine(self.FAR_PAGE)
         _run(traced)
         stats = traced.fastpath.traces.stats
         assert stats["runs"] > 0, "the line never ran as a trace"
@@ -502,7 +496,7 @@ line:
             _run(cpu)
             return cpu, tracer
 
-        traced, traced_stream = run(trace=True)
+        traced, traced_stream = run()
         slow, slow_stream = run(fastpath=False)
         assert traced.regs == slow.regs
         assert traced.cycles == slow.cycles
@@ -533,7 +527,7 @@ line:
             after_mmio = [s for s in self._step_all(cpu, observe) if s]
             return cpu, recorder, writes, after_mmio
 
-        traced, traced_mmio, traced_writes, traced_after = run(trace=True)
+        traced, traced_mmio, traced_writes, traced_after = run()
         slow, slow_mmio, slow_writes, slow_after = run(fastpath=False)
         assert traced.fastpath.traces.stats["runs"] > 0
         assert len(slow_mmio.writes) == 40
@@ -569,7 +563,7 @@ line:
             platform.run(max_cycles=40_000)
             return platform, tracer, inside
 
-        traced, traced_stream, traced_inside = run(fastpath=True, trace=True)
+        traced, traced_stream, traced_inside = run(fastpath=True)
         slow, slow_stream, slow_inside = run(fastpath=False)
         assert slow_inside, "no NMI landed inside the timer ISR"
         assert traced_inside == slow_inside
@@ -587,10 +581,10 @@ class TestCompiledCodeSharing:
     each trace keeps its own env, so liveness stays per clone."""
 
     def test_clones_share_code_but_not_liveness(self):
-        golden = TrustLitePlatform(trace=True)
+        golden = TrustLitePlatform()
         golden.boot(build_two_counter_image(timer_period=400))
         snapshot = Snapshot.save(golden)
-        clones = [snapshot.clone(trace=True) for _ in range(2)]
+        clones = [snapshot.clone() for _ in range(2)]
         for clone in clones:
             clone.run(max_cycles=40_000)
         engines = [clone.cpu.fastpath.traces for clone in clones]
@@ -673,9 +667,8 @@ line:
 
     def test_device_registers_see_the_reference_time(self):
         slow, slow_timer = self._run(fastpath=False)
-        for engine in ({"trace": False}, {"trace": True}):
-            cpu, timer = self._run(**engine)
-            assert cpu.regs == slow.regs
-            assert cpu.cycles == slow.cycles
-            assert timer.snapshot_state() == slow_timer.snapshot_state()
+        cpu, timer = self._run()
+        assert cpu.regs == slow.regs
+        assert cpu.cycles == slow.cycles
+        assert timer.snapshot_state() == slow_timer.snapshot_state()
         assert cpu.fastpath.traces.stats["runs"] > 0

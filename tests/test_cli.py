@@ -76,6 +76,11 @@ class TestCommands:
             "fleet", "--devices", "2", "--workers", "0",
         ]) == EXIT_USAGE
 
+    def test_fleet_unknown_engine_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--devices", "2", "--engine", "fast"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_fleet_engine_and_workers_flags(self, capsys):
         assert main([
             "fleet", "--devices", "4", "--compromise", "0",
