@@ -3,21 +3,23 @@
 A sponge with the key absorbed first is a secure MAC construction for
 sponge hashes (no length-extension issue), so the MAC is simply
 ``H(len(key) || key || message)``.  Used by the SMART baseline's
-attestation routine and the remote-attestation trustlet model.
+attestation routine and the remote-attestation trustlet model.  The
+keyed prefix is absorbed once per key and process
+(:func:`~repro.crypto.sponge.prefixed`); every tag is the same as
+absorbing all of it per call.
 """
 
 from __future__ import annotations
 
-from repro.crypto.sponge import SpongeHash
+from repro.crypto.sponge import prefixed
 
 
 def mac(key: bytes, message: bytes) -> bytes:
     """128-bit authentication tag over ``message`` under ``key``."""
-    hasher = SpongeHash()
-    hasher.update(len(key).to_bytes(4, "little"))
-    hasher.update(key)
-    hasher.update(message)
-    return hasher.digest()
+    # ``bytes + bytes-like`` is a new ``bytes``: the cache key never
+    # aliases a caller's buffer.
+    prefix = len(key).to_bytes(4, "little") + key
+    return prefixed(prefix).update(message).digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -30,9 +30,29 @@ after.  It stays coherent without ever being invalidated:
   bytes and misses.
 
 The memo is bounded by the key bytes it retains and emptied whenever
-the next entry would pass :data:`MEMO_MAX_BYTES`.  ``digest()`` still
-pads and finalizes once per hash.  :func:`memo_stats` reports hits,
-misses and retained bytes for the process.
+the next entry would pass :data:`MEMO_MAX_BYTES`.
+
+Finalization memo.  A re-measured region also pads and squeezes the
+same state and tail on every quote, so ``digest()`` memoizes its two
+permutations as ``(state, tail bytes) -> digest``.  It is consulted
+only by a hash whose state came out of the absorb memo (its last
+absorb took the memo path), so the one-off digests of MACs and nonces
+over short inputs never enter it.  Its coherence is the absorb memo's: finalization is a pure
+function of the key, the state is an immutable tuple and the tail an
+immutable ``bytes``.  Its key bytes count against the same bound, and
+the two memos are emptied together.
+
+Prefix cache.  A MAC absorbs its key's ``len || key`` prefix and a
+nonce source its seed before anything that varies.  :func:`prefixed`
+keeps one hasher per prefix that has absorbed it and hands out only
+fresh :meth:`SpongeHash.copy` copies, so no caller can advance or
+finalize the cached one.  By the sponge's chunking invariance a copy
+fed the rest of the input digests exactly what one hasher fed the
+whole input does.  The cache holds at most
+:data:`PREFIX_MAX_ENTRIES` hashers and is emptied when full.
+
+:func:`memo_stats` reports hits, misses and retained bytes of the
+memos and hits and misses of the prefix cache for the process.
 """
 
 from __future__ import annotations
@@ -48,8 +68,12 @@ ROUNDS = 12
 #: code regions, containers and chunks pass it, quote and MAC material
 #: stays below.
 MEMO_MIN_BYTES = 256
-#: Key bytes the memo may retain before it is emptied.
+#: Key bytes the absorb and finalization memos may retain, together,
+#: before both are emptied.
 MEMO_MAX_BYTES = 256 * 1024
+#: Prefix hashers :func:`prefixed` may keep before it is emptied: one
+#: per device key and nonce seed of a fleet well past the suite's.
+PREFIX_MAX_ENTRIES = 1024
 
 _MASK = 0xFFFF_FFFF
 _LANES = _MASK | _MASK << 64
@@ -89,18 +113,41 @@ def _absorb(state: tuple, blocks) -> tuple:
 
 #: ``(state before, full-block bytes) -> state after``.
 _memo: dict[tuple[tuple, bytes], tuple] = {}
-_memo_counts = {"hits": 0, "misses": 0, "retained_bytes": 0}
+#: ``(state, tail bytes) -> digest`` for states out of ``_memo``.
+_final: dict[tuple[tuple, bytes], bytes] = {}
+#: ``prefix -> hasher that absorbed it``; only ever copied.
+_prefixes: dict[bytes, SpongeHash] = {}
+_memo_counts = {
+    "hits": 0, "misses": 0, "retained_bytes": 0,
+    "final_hits": 0, "final_misses": 0,
+    "prefix_hits": 0, "prefix_misses": 0,
+}
 
 
 def memo_stats(since: dict | None = None) -> dict:
-    """This process's absorb memo: ``hits``, ``misses`` and
-    ``retained_bytes``.  With ``since`` (an earlier result), hits and
-    misses count only what happened after it."""
+    """This process's sponge caches: absorb memo ``hits`` and
+    ``misses``, finalization memo ``final_hits`` and ``final_misses``,
+    prefix cache ``prefix_hits`` and ``prefix_misses``, and the key
+    bytes both memos retain, ``retained_bytes``.  With ``since`` (an
+    earlier result), hits and misses count only what happened after
+    it."""
     stats = dict(_memo_counts)
     if since is not None:
-        stats["hits"] -= since["hits"]
-        stats["misses"] -= since["misses"]
+        for name in stats:
+            if name != "retained_bytes":
+                stats[name] -= since[name]
     return stats
+
+
+def _retain(size: int) -> None:
+    """Charge ``size`` key bytes to the memos, emptying both first if
+    they would pass the bound."""
+    counts = _memo_counts
+    if counts["retained_bytes"] + size > MEMO_MAX_BYTES:
+        _memo.clear()
+        _final.clear()
+        counts["retained_bytes"] = 0
+    counts["retained_bytes"] += size
 
 
 def _memo_absorb(state: tuple, blocks: bytes) -> tuple:
@@ -112,13 +159,56 @@ def _memo_absorb(state: tuple, blocks: bytes) -> tuple:
         counts["hits"] += 1
         return after
     after = _absorb(state, struct.iter_unpack("<2I", blocks))
-    if counts["retained_bytes"] + len(blocks) > MEMO_MAX_BYTES:
-        _memo.clear()
-        counts["retained_bytes"] = 0
+    _retain(len(blocks))
     _memo[key] = after
-    counts["retained_bytes"] += len(blocks)
     counts["misses"] += 1
     return after
+
+
+def _finalize(state: tuple, tail: bytes) -> bytes:
+    """Pad ``tail``, absorb it into ``state`` and squeeze 16 bytes."""
+    if len(tail) == RATE - 1:
+        block = tail + b"\x81"
+    else:
+        block = tail + b"\x80" + bytes(RATE - 2 - len(tail)) + b"\x01"
+    # Squeeze (s0, s1) twice, one permutation apart; nothing reads the
+    # state after the second, so it is not permuted.
+    first = _absorb(state, struct.iter_unpack("<2I", block))
+    second = _absorb(first, ((0, 0),))
+    words = (first[0], first[1], second[0], second[1])
+    return struct.pack("<4I", *(w & _MASK for w in words))
+
+
+def _memo_finalize(state: tuple, tail: bytes) -> bytes:
+    """``_finalize(state, tail)``, looked up in or stored to the
+    finalization memo."""
+    key = (state, tail)
+    digest = _final.get(key)
+    counts = _memo_counts
+    if digest is not None:
+        counts["final_hits"] += 1
+        return digest
+    digest = _finalize(state, tail)
+    _retain(len(tail))
+    _final[key] = digest
+    counts["final_misses"] += 1
+    return digest
+
+
+def prefixed(prefix: bytes) -> SpongeHash:
+    """A fresh hasher that has absorbed ``prefix`` (a ``bytes``), copied
+    from the process's prefix cache."""
+    hasher = _prefixes.get(prefix)
+    counts = _memo_counts
+    if hasher is None:
+        counts["prefix_misses"] += 1
+        hasher = SpongeHash().update(prefix)
+        if len(_prefixes) >= PREFIX_MAX_ENTRIES:
+            _prefixes.clear()
+        _prefixes[prefix] = hasher
+    else:
+        counts["prefix_hits"] += 1
+    return hasher.copy()
 
 
 class SpongeHash:
@@ -128,6 +218,8 @@ class SpongeHash:
         self._state = (0, 0, 0, 0)
         self._buffer = b""
         self._finalized: bytes | None = None
+        # Whether ``_state`` came out of the absorb memo.
+        self._memoized = False
 
     def update(self, data: bytes | bytearray | memoryview) -> "SpongeHash":
         """Absorb ``data``; chainable.  Rejects use after finalization."""
@@ -140,27 +232,29 @@ class SpongeHash:
         full = len(data) - len(data) % RATE
         if MEMO_MIN_BYTES <= full <= MEMO_MAX_BYTES:
             self._state = _memo_absorb(self._state, data[:full])
+            self._memoized = True
         elif full:
             # Lazily, so a large input never becomes one big tuple.
             blocks = struct.iter_unpack("<2I", memoryview(data)[:full])
             self._state = _absorb(self._state, blocks)
+            self._memoized = False
         self._buffer = data[full:]
         return self
+
+    def copy(self) -> "SpongeHash":
+        """An independent hasher in this one's exact state."""
+        clone = SpongeHash.__new__(SpongeHash)
+        # Every field is immutable, so sharing them is a full copy.
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def digest(self) -> bytes:
         """Finalize (idempotent) and return the 16-byte digest."""
         if self._finalized is None:
-            tail = self._buffer
-            if len(tail) == RATE - 1:
-                block = tail + b"\x81"
+            if self._memoized:
+                self._finalized = _memo_finalize(self._state, self._buffer)
             else:
-                block = tail + b"\x80" + bytes(RATE - 2 - len(tail)) + b"\x01"
-            # Squeeze (s0, s1) twice, one permutation apart; nothing
-            # reads the state after the second, so it is not permuted.
-            first = _absorb(self._state, struct.iter_unpack("<2I", block))
-            second = _absorb(first, ((0, 0),))
-            words = (first[0], first[1], second[0], second[1])
-            self._finalized = struct.pack("<4I", *(w & _MASK for w in words))
+                self._finalized = _finalize(self._state, self._buffer)
         return self._finalized
 
     def hexdigest(self) -> str:

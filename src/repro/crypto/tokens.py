@@ -9,7 +9,7 @@ real device would use a hardware entropy source.
 
 from __future__ import annotations
 
-from repro.crypto.sponge import sponge_hash
+from repro.crypto.sponge import prefixed, sponge_hash
 
 NONCE_SIZE = 8
 
@@ -33,10 +33,12 @@ class NonceSource:
         self._counter = 0
 
     def next_nonce(self) -> bytes:
-        """Fresh 8-byte nonce, never repeated for this source."""
+        """Fresh 8-byte nonce, never repeated for this source:
+        ``H(seed || counter)``, resuming from the seed's cached
+        absorb."""
         self._counter += 1
-        material = self._seed + self._counter.to_bytes(8, "little")
-        return sponge_hash(material)[:NONCE_SIZE]
+        counter = self._counter.to_bytes(8, "little")
+        return prefixed(self._seed).update(counter).digest()[:NONCE_SIZE]
 
 
 def session_token(

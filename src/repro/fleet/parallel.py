@@ -442,16 +442,21 @@ def verify_quote_batch(batch: QuoteCheckBatch) -> tuple[bool, ...]:
 # Parent side.
 
 
+def empty_memo_stats() -> dict:
+    """A zero :func:`~repro.crypto.sponge.memo_stats` to fold into."""
+    return dict.fromkeys(memo_stats(), 0)
+
+
 def fold_memo_stats(total: dict, part: dict) -> None:
     """Fold one task's :func:`~repro.crypto.sponge.memo_stats` delta
-    into ``total``: hits and misses add up over tasks, and
+    into ``total``: every hit and miss count adds up over tasks, and
     ``retained_bytes`` is the most that any one process held after a
-    task (each process has its own memo)."""
-    total["hits"] += part["hits"]
-    total["misses"] += part["misses"]
-    total["retained_bytes"] = max(
-        total["retained_bytes"], part["retained_bytes"]
-    )
+    task (each process has its own memos)."""
+    for name in total:
+        if name == "retained_bytes":
+            total[name] = max(total[name], part[name])
+        else:
+            total[name] += part[name]
 
 
 class ShardMerger:
@@ -484,7 +489,7 @@ class ShardMerger:
             "partition_dropped": 0, "in_flight": 0,
         }
         self.timings = {"hydrate_s": 0.0, "execute_s": 0.0}
-        self.sponge_memo = {"hits": 0, "misses": 0, "retained_bytes": 0}
+        self.sponge_memo = empty_memo_stats()
         self.shards = 0
         self.merge_seconds = 0.0
         self._finished = False

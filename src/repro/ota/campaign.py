@@ -46,6 +46,7 @@ from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.parallel import (
     _maybe_crash_for_test,
     attestation_image,
+    empty_memo_stats,
     fold_memo_stats,
     golden_boot,
     hydrate_devices,
@@ -489,7 +490,7 @@ def run_campaign(
 
     policy = policy or _retry_policy(config)
     recovery = RecoveryLog()
-    sponge_memo = {"hits": 0, "misses": 0, "retained_bytes": 0}
+    sponge_memo = empty_memo_stats()
 
     def tasks_for(
         ids: tuple[int, ...], *, tamper_ids: frozenset[int], action: str

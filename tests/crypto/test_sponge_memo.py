@@ -8,10 +8,14 @@ equal a reference digest of the same live bytes, fed to the sponge in
 touch the absorb memo.  A path that changes the full blocks of a
 measured region must also record a memo miss; a region whose full
 blocks are unchanged must hit (the partial last block is absorbed by
-``digest()``, outside the memo).
+``digest()``, outside the absorb memo).  ``digest()`` has its own
+finalization memo, keyed on (state, partial last block): it must hit
+only when the whole region is unchanged, and a second measurement,
+served by both memos, must still equal the reference.
 
-The aliasing, bound and property tests below hold the memo itself to
-the same reference and to the known-answer vectors.
+The aliasing, bound and property tests below hold the memos and the
+MAC/nonce prefix cache to the same reference and to the known-answer
+vectors.
 """
 
 import contextlib
@@ -25,8 +29,15 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attestation import measure_code
 from repro.core.layout import TRUSTLET_TABLE_BASE
 from repro.core.trustlet_table import HEADER_SIZE, OFF_CODE_END
-from repro.crypto import sponge
-from repro.crypto.sponge import RATE, SpongeHash, memo_stats, sponge_hash
+from repro.crypto import mac, sponge
+from repro.crypto.sponge import (
+    RATE,
+    SpongeHash,
+    memo_stats,
+    prefixed,
+    sponge_hash,
+)
+from repro.crypto.tokens import NONCE_SIZE, NonceSource
 from repro.errors import ReproError
 from repro.faults import (
     corrupt_blob,
@@ -57,14 +68,21 @@ def reference_digest(data: bytes) -> bytes:
 
 
 @contextlib.contextmanager
-def isolated_memo(max_bytes=sponge.MEMO_MAX_BYTES):
-    """An empty memo (optionally with a smaller bound) for the block,
-    so counts and clears do not depend on what ran before."""
+def isolated_memo(max_bytes=sponge.MEMO_MAX_BYTES,
+                  max_prefixes=sponge.PREFIX_MAX_ENTRIES):
+    """Empty memos and prefix cache (optionally with smaller bounds)
+    for the block, so counts and clears do not depend on what ran
+    before."""
     with mock.patch.multiple(
         sponge,
         _memo={},
-        _memo_counts={"hits": 0, "misses": 0, "retained_bytes": 0},
+        _final={},
+        _prefixes={},
+        _memo_counts={"hits": 0, "misses": 0, "retained_bytes": 0,
+                      "final_hits": 0, "final_misses": 0,
+                      "prefix_hits": 0, "prefix_misses": 0},
         MEMO_MAX_BYTES=max_bytes,
+        PREFIX_MAX_ENTRIES=max_prefixes,
     ):
         yield
 
@@ -206,11 +224,13 @@ def test_remeasurement_matches_reference(case, golden):
         device.platform.boot_signed(v1, trust_root=root)
     with isolated_memo():
         warm = set()
+        warm_whole = set()
         for region in regions(device.platform):
             data = live(device.platform, region)
             assert measure_code(device.platform.bus, *region) == \
                 reference_digest(data)
             warm.add(full_blocks(data))
+            warm_whole.add(data)
         warmed = memo_stats()
 
         platform = mutate(device, golden)
@@ -223,8 +243,17 @@ def test_remeasurement_matches_reference(case, golden):
             assert digest == reference_digest(data), region
             if full_blocks(data) in warm:
                 assert memo_stats(since=before)["hits"] == 1, region
+                # The finalization memo serves an unchanged region and
+                # misses on a changed tail.
+                assert memo_stats(since=before)["final_hits"] == \
+                    (data in warm_whole), region
             else:
                 changed += 1
+            # What it serves or stores is the reference digest.
+            before = memo_stats()
+            assert measure_code(platform.bus, *region) == \
+                reference_digest(data), region
+            assert memo_stats(since=before)["final_hits"] == 1, region
         if changes is not None:
             assert bool(changed) == changes
         if changed:
@@ -260,7 +289,9 @@ def test_memo_hits_on_repeated_quotes(golden):
         again = memo_stats(since=first)
     assert first["misses"] == len(regions(device.platform))
     assert again == {"hits": first["misses"], "misses": 0,
-                     "retained_bytes": first["retained_bytes"]}
+                     "retained_bytes": first["retained_bytes"],
+                     "final_hits": first["misses"], "final_misses": 0,
+                     "prefix_hits": 1, "prefix_misses": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +311,9 @@ def test_mutating_the_source_in_place_changes_the_digest(wrap):
         source[300] ^= 0x01
         assert sponge_hash(data) == first
         assert memo_stats() == {"hits": 1, "misses": 2,
-                                "retained_bytes": 2 * 600}
+                                "retained_bytes": 2 * 600,
+                                "final_hits": 1, "final_misses": 2,
+                                "prefix_hits": 0, "prefix_misses": 0}
 
 
 def test_key_prefixed_messages_share_the_memo():
@@ -306,7 +339,9 @@ def test_below_threshold_and_oversized_inputs_skip_the_memo():
         assert sponge_hash(small) == reference_digest(small)
         assert sponge_hash(CYCLE[:1600]).hex() == SPONGE_KAT[1600]
         assert memo_stats() == {"hits": 0, "misses": 0,
-                                "retained_bytes": 0}
+                                "retained_bytes": 0,
+                                "final_hits": 0, "final_misses": 0,
+                                "prefix_hits": 0, "prefix_misses": 0}
 
 
 def test_bound_clears_instead_of_growing():
@@ -317,6 +352,8 @@ def test_bound_clears_instead_of_growing():
             retained.append(memo_stats()["retained_bytes"])
         assert retained == [400, 800, 400]
         assert len(sponge._memo) == 1
+        # The finalization memo is emptied with it.
+        assert len(sponge._final) == 1
 
 
 @pytest.mark.parametrize("bad", [5, "text", None])
@@ -367,3 +404,122 @@ def test_property_memo_equals_reference(messages):
             assert digest == reference_digest(bytes(data))
             if not 0 <= flip < length and length in SPONGE_KAT:
                 assert digest.hex() == SPONGE_KAT[length]
+
+
+# ---------------------------------------------------------------------------
+# The finalization memo and the MAC/nonce prefix cache.
+
+
+def test_tail_flip_hits_the_absorb_memo_and_misses_finalization(golden):
+    """The OS region [364, 1520) is 1,156 bytes: 144 full blocks and a
+    4-byte partial tail.  A flip in the tail leaves the absorb memo's
+    key alone, so it hits; the finalization memo's key changes, so it
+    misses, and the digest is still the reference."""
+    device = fresh_device(golden)
+    platform = device.platform
+    region = (364, 1520)
+    assert region in regions(platform)
+    with isolated_memo():
+        warm = live(platform, region)
+        assert measure_code(platform.bus, *region) == reference_digest(warm)
+        flip_memory_bits(platform, random.Random(0), memory="prom",
+                         lo=1516, hi=1520)
+        data = live(platform, region)
+        assert data != warm and full_blocks(data) == full_blocks(warm)
+        before = memo_stats()
+        assert measure_code(platform.bus, *region) == reference_digest(data)
+        delta = memo_stats(since=before)
+    assert (delta["hits"], delta["misses"]) == (1, 0)
+    assert (delta["final_hits"], delta["final_misses"]) == (0, 1)
+
+
+def reference_mac(key: bytes, message: bytes) -> bytes:
+    return reference_digest(len(key).to_bytes(4, "little") + key + message)
+
+
+def reference_nonce(seed: bytes, counter: int) -> bytes:
+    return reference_digest(seed + counter.to_bytes(8, "little"))[:NONCE_SIZE]
+
+
+#: Key lengths around a block, the 256-byte threshold and the 2 KiB
+#: test bound; message lengths the same, so MACs take every path.
+KEY_LENGTHS = [0, 1, 4, 16, 252, 300]
+MESSAGE_LENGTHS = [0, 3, 20, 260, 700]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(KEY_LENGTHS),
+            st.sampled_from(["bytes", "memoryview", "bytearray"]),
+            st.sampled_from(MESSAGE_LENGTHS),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.lists(st.sampled_from([b"", b"seed", CYCLE[:15], CYCLE[:300]]),
+             min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=400),
+)
+def test_property_prefix_cache_equals_reference(macs, seeds, cut):
+    """``mac``, ``NonceSource`` and ``copy()`` equal a cache-free
+    reference under bounds small enough that both the memos and the
+    prefix cache are emptied mid-run.  A ``bytearray`` key mutated
+    after its MAC leaves no trace in the cache."""
+    with isolated_memo(max_bytes=2048, max_prefixes=2):
+        for key_length, kind, message_length, variant in macs:
+            raw = bytes(CYCLE[variant:variant + key_length])
+            message = CYCLE[:message_length]
+            source = bytearray(raw)
+            key = {"bytes": raw, "memoryview": memoryview(source),
+                   "bytearray": source}[kind]
+            assert mac(key, message) == reference_mac(raw, message)
+            if kind == "bytearray" and key_length:
+                source[0] ^= 0x01
+                assert mac(source, message) == \
+                    reference_mac(bytes(source), message)
+                assert mac(raw, message) == reference_mac(raw, message)
+
+        streams = {}
+        for seed in seeds:
+            nonces = streams.setdefault(seed, NonceSource(seed))
+            counter = nonces._counter + 1
+            assert nonces.next_nonce() == reference_nonce(seed, counter)
+
+        data = CYCLE[:400]
+        original = SpongeHash().update(data[:cut])
+        clone = original.copy()
+        assert clone.update(data[cut:]).digest() == reference_digest(data)
+        assert original.update(b"other").digest() == \
+            reference_digest(data[:cut] + b"other")
+
+
+def test_copies_never_change_the_cached_prefix():
+    """Updating or finalizing a handed-out copy, or a MAC on top of
+    one, leaves the cached hasher exactly as it was."""
+    prefix = len(CYCLE[:20]).to_bytes(4, "little") + CYCLE[:20]
+    with isolated_memo():
+        first = prefixed(prefix)
+        cached = sponge._prefixes[prefix]
+        assert first is not cached
+        state = dict(vars(cached))
+        first.update(CYCLE[:300]).digest()
+        prefixed(prefix).update(b"x").digest()
+        mac(CYCLE[:20], CYCLE[:600])
+        prefixed(prefix).digest()
+        assert vars(cached) == state
+        assert prefixed(prefix).digest() == reference_digest(prefix)
+        assert mac(CYCLE[:20], b"m") == reference_mac(CYCLE[:20], b"m")
+        stats = memo_stats()
+    assert (stats["prefix_hits"], stats["prefix_misses"]) == (5, 1)
+
+
+def test_finalized_copy_stays_finalized():
+    hasher = SpongeHash().update(CYCLE[:300])
+    digest = hasher.digest()
+    clone = hasher.copy()
+    assert clone.digest() == digest
+    with pytest.raises(ValueError):
+        clone.update(b"more")

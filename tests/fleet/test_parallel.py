@@ -204,6 +204,8 @@ class TestShardedRuns:
         assert execution["recovery"]["degraded"] == 0
         # Quotes re-measure the code the golden boot measured.
         assert execution["sponge_memo"]["hits"] > 0
+        assert execution["sponge_memo"]["final_hits"] > 0
+        assert execution["sponge_memo"]["prefix_hits"] > 0
         assert report["fleet"]["snapshot_blob_bytes"] > 0
         assert report["ok"] is True
         json.dumps(report)  # must serialize cleanly

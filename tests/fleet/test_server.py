@@ -87,8 +87,11 @@ class TestReportShape:
         ):
             assert section in report, f"missing section {section!r}"
         memo = report["execution"]["sponge_memo"]
-        assert set(memo) == {"hits", "misses", "retained_bytes"}
+        assert set(memo) == {"hits", "misses", "retained_bytes",
+                             "final_hits", "final_misses",
+                             "prefix_hits", "prefix_misses"}
         assert memo["hits"] > 0
+        assert memo["final_hits"] > 0 and memo["prefix_hits"] > 0
         json.dumps(report)  # must serialize cleanly
 
     def test_verdict_flags_the_compromised_device(self, baseline_report):
