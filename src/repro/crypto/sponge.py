@@ -37,19 +37,20 @@ same state and tail on every quote, so ``digest()`` memoizes its two
 permutations as ``(state, tail bytes) -> digest``.  It is consulted
 only by a hash whose state came out of the absorb memo (its last
 absorb took the memo path), so the one-off digests of MACs and nonces
-over short inputs never enter it.  Its coherence is the absorb memo's: finalization is a pure
-function of the key, the state is an immutable tuple and the tail an
-immutable ``bytes``.  Its key bytes count against the same bound, and
-the two memos are emptied together.
+over short inputs never enter it.  Its coherence is the absorb memo's:
+finalization is a pure function of the key, the state is an immutable
+tuple and the tail an immutable ``bytes``.  A tail is at most seven
+bytes, so each entry is charged a fixed :data:`FINAL_ENTRY_BYTES`
+against the same bound rather than its key bytes, and the two memos
+are emptied together.
 
-Prefix cache.  A MAC absorbs its key's ``len || key`` prefix and a
-nonce source its seed before anything that varies.  :func:`prefixed`
-keeps one hasher per prefix that has absorbed it and hands out only
-fresh :meth:`SpongeHash.copy` copies, so no caller can advance or
-finalize the cached one.  By the sponge's chunking invariance a copy
-fed the rest of the input digests exactly what one hasher fed the
-whole input does.  The cache holds at most
-:data:`PREFIX_MAX_ENTRIES` hashers and is emptied when full.
+Prefix cache.  A MAC absorbs its key's ``len || key`` prefix before
+anything that varies.  :func:`prefixed` keeps one hasher per prefix
+that has absorbed it and hands out only fresh :meth:`SpongeHash.copy`
+copies, so no caller can advance or finalize the cached one.  By the
+sponge's chunking invariance a copy fed the rest of the input digests
+exactly what one hasher fed the whole input does.  The cache holds at
+most :data:`PREFIX_MAX_ENTRIES` hashers and is emptied when full.
 
 :func:`memo_stats` reports hits, misses and retained bytes of the
 memos and hits and misses of the prefix cache for the process.
@@ -68,11 +69,16 @@ ROUNDS = 12
 #: code regions, containers and chunks pass it, quote and MAC material
 #: stays below.
 MEMO_MIN_BYTES = 256
-#: Key bytes the absorb and finalization memos may retain, together,
-#: before both are emptied.
+#: Bytes the absorb memo's keys and the finalization memo's entries
+#: may be charged, together, before both memos are emptied.
 MEMO_MAX_BYTES = 256 * 1024
+#: What one finalization-memo entry is charged against
+#: :data:`MEMO_MAX_BYTES`: CPython spends about 170 bytes on its key
+#: tuple, tail, digest and dict slot, rounded up to the least an
+#: absorb entry is charged.
+FINAL_ENTRY_BYTES = 256
 #: Prefix hashers :func:`prefixed` may keep before it is emptied: one
-#: per device key and nonce seed of a fleet well past the suite's.
+#: per device key of a fleet well past the suite's.
 PREFIX_MAX_ENTRIES = 1024
 
 _MASK = 0xFFFF_FFFF
@@ -127,8 +133,8 @@ _memo_counts = {
 def memo_stats(since: dict | None = None) -> dict:
     """This process's sponge caches: absorb memo ``hits`` and
     ``misses``, finalization memo ``final_hits`` and ``final_misses``,
-    prefix cache ``prefix_hits`` and ``prefix_misses``, and the key
-    bytes both memos retain, ``retained_bytes``.  With ``since`` (an
+    prefix cache ``prefix_hits`` and ``prefix_misses``, and the bytes
+    both memos are charged, ``retained_bytes``.  With ``since`` (an
     earlier result), hits and misses count only what happened after
     it."""
     stats = dict(_memo_counts)
@@ -140,8 +146,8 @@ def memo_stats(since: dict | None = None) -> dict:
 
 
 def _retain(size: int) -> None:
-    """Charge ``size`` key bytes to the memos, emptying both first if
-    they would pass the bound."""
+    """Charge ``size`` bytes to the memos, emptying both first if they
+    would pass the bound."""
     counts = _memo_counts
     if counts["retained_bytes"] + size > MEMO_MAX_BYTES:
         _memo.clear()
@@ -189,7 +195,7 @@ def _memo_finalize(state: tuple, tail: bytes) -> bytes:
         counts["final_hits"] += 1
         return digest
     digest = _finalize(state, tail)
-    _retain(len(tail))
+    _retain(FINAL_ENTRY_BYTES)
     _final[key] = digest
     counts["final_misses"] += 1
     return digest

@@ -9,7 +9,7 @@ real device would use a hardware entropy source.
 
 from __future__ import annotations
 
-from repro.crypto.sponge import prefixed, sponge_hash
+from repro.crypto.sponge import SpongeHash, sponge_hash
 
 NONCE_SIZE = 8
 
@@ -31,14 +31,15 @@ class NonceSource:
             seed = seed.encode("utf-8")
         self._seed = bytes(seed)
         self._counter = 0
+        # The seed is absorbed once; each nonce resumes from a copy.
+        self._base = SpongeHash().update(self._seed)
 
     def next_nonce(self) -> bytes:
         """Fresh 8-byte nonce, never repeated for this source:
-        ``H(seed || counter)``, resuming from the seed's cached
-        absorb."""
+        ``H(seed || counter)``."""
         self._counter += 1
         counter = self._counter.to_bytes(8, "little")
-        return prefixed(self._seed).update(counter).digest()[:NONCE_SIZE]
+        return self._base.copy().update(counter).digest()[:NONCE_SIZE]
 
 
 def session_token(

@@ -13,9 +13,9 @@ finalization memo, keyed on (state, partial last block): it must hit
 only when the whole region is unchanged, and a second measurement,
 served by both memos, must still equal the reference.
 
-The aliasing, bound and property tests below hold the memos and the
-MAC/nonce prefix cache to the same reference and to the known-answer
-vectors.
+The aliasing, bound and property tests below hold the memos, the MAC
+prefix cache and nonce sources to the same reference and to the
+known-answer vectors.
 """
 
 import contextlib
@@ -311,7 +311,8 @@ def test_mutating_the_source_in_place_changes_the_digest(wrap):
         source[300] ^= 0x01
         assert sponge_hash(data) == first
         assert memo_stats() == {"hits": 1, "misses": 2,
-                                "retained_bytes": 2 * 600,
+                                "retained_bytes": 2 * (
+                                    600 + sponge.FINAL_ENTRY_BYTES),
                                 "final_hits": 1, "final_misses": 2,
                                 "prefix_hits": 0, "prefix_misses": 0}
 
@@ -345,12 +346,15 @@ def test_below_threshold_and_oversized_inputs_skip_the_memo():
 
 
 def test_bound_clears_instead_of_growing():
-    with isolated_memo(max_bytes=1024):
+    # An absorb entry is charged its 400 key bytes, a finalization
+    # entry a fixed FINAL_ENTRY_BYTES; two hashes fit, three do not.
+    entry = 400 + sponge.FINAL_ENTRY_BYTES
+    with isolated_memo(max_bytes=2 * entry + 100):
         retained = []
         for start in (0, 8, 16):
             sponge_hash(CYCLE[start:start + 400])
             retained.append(memo_stats()["retained_bytes"])
-        assert retained == [400, 800, 400]
+        assert retained == [entry, 2 * entry, entry]
         assert len(sponge._memo) == 1
         # The finalization memo is emptied with it.
         assert len(sponge._final) == 1
@@ -407,7 +411,7 @@ def test_property_memo_equals_reference(messages):
 
 
 # ---------------------------------------------------------------------------
-# The finalization memo and the MAC/nonce prefix cache.
+# The finalization memo, the MAC prefix cache and nonce sources.
 
 
 def test_tail_flip_hits_the_absorb_memo_and_misses_finalization(golden):
@@ -514,6 +518,27 @@ def test_copies_never_change_the_cached_prefix():
         assert mac(CYCLE[:20], b"m") == reference_mac(CYCLE[:20], b"m")
         stats = memo_stats()
     assert (stats["prefix_hits"], stats["prefix_misses"]) == (5, 1)
+
+
+def test_short_tails_are_charged_per_entry():
+    """Inputs that share their full blocks and differ only in a short
+    tail add one finalization entry each.  Each is charged
+    FINAL_ENTRY_BYTES, not its tail bytes, so they fill the bound and
+    clear it instead of piling up."""
+    shared = CYCLE[:256]
+    bound = 256 + 4 * sponge.FINAL_ENTRY_BYTES
+    with isolated_memo(max_bytes=bound):
+        sizes = []
+        for tail in range(10):
+            data = shared + bytes([tail])
+            assert sponge_hash(data) == reference_digest(data)
+            assert memo_stats()["retained_bytes"] <= bound
+            sizes.append(len(sponge._final))
+        stats = memo_stats()
+    # Four tails fit beside the shared absorb entry; the fifth clears
+    # both memos and starts over.
+    assert sizes == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]
+    assert stats["final_misses"] == 10 and stats["final_hits"] == 0
 
 
 def test_finalized_copy_stays_finalized():

@@ -16,6 +16,8 @@ from repro.fleet import (
 from repro.fleet.parallel import _cached_snapshot, attestation_image
 from repro.fleet.service import SCHEMA
 
+from ..crypto.test_sponge_memo import isolated_memo
+
 
 class TestConfig:
     def test_validation(self):
@@ -88,15 +90,12 @@ class TestRunFleet:
             devices=4, rounds=2, seed=13, compromise=1,
             drop_rate=0.2, delay_min=16, delay_max=256,
         )
-        reports = [run_fleet(config), run_fleet(config)]
-        # The second run in this process finds the sponge caches warm
-        # (device keys and nonce seeds included), so their counts are
-        # the one field that reads process history.
-        for report in reports:
-            assert report["execution"].pop("sponge_memo")["hits"] > 0
-        first, second = (
-            json.dumps(report, sort_keys=True) for report in reports
-        )
+        # Each run starts from empty sponge caches, so their counts
+        # under execution.sponge_memo are compared too.
+        with isolated_memo():
+            first = json.dumps(run_fleet(config), sort_keys=True)
+        with isolated_memo():
+            second = json.dumps(run_fleet(config), sort_keys=True)
         assert first == second
 
     def test_different_seeds_differ(self):
