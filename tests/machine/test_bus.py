@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.asm import assemble
+from repro.core.platform import TrustLitePlatform
 from repro.errors import AlignmentError, BusError
 from repro.machine.bus import Bus
+from repro.machine.device import Device
+from repro.machine.devices.timer import CTRL, CTRL_ENABLE, PERIOD
 from repro.machine.memories import Dram, Prom, Ram
+from repro.machine.soc import SRAM_BASE, TIMER_BASE, SoC
+from repro.sw.images import build_attestation_image
 
 
 @pytest.fixture
@@ -72,6 +78,139 @@ class TestAccess:
         assert bus.read_bytes(0x2100, 5) == b"hello"
 
 
+class TestRoutingMemo:
+    """An access right after a hit on the same window faults, and
+    counts, exactly as the first access to that window would."""
+
+    @pytest.fixture
+    def odd(self, bus):
+        # Ends at 0x4006: an aligned word at 0x4004 crosses the end.
+        bus.attach(0x4000, Ram("tiny", 6))
+        return bus
+
+    def test_unaligned_word_after_a_hit(self, bus):
+        bus.read(0x2000, 4)
+        before = bus.routing_stats
+        with pytest.raises(AlignmentError) as excinfo:
+            bus.read(0x2002, 4)
+        assert excinfo.value.address == 0x2002
+        with pytest.raises(AlignmentError):
+            bus.write(0x2001, 7, 4)
+        assert bus.routing_stats == before
+        assert bus.read(0x2000, 4) == 0
+
+    def test_crossing_the_end_after_a_hit(self, odd):
+        seen = []
+        odd.add_write_listener(lambda address, n: seen.append((address, n)))
+        odd.write(0x4000, 0x04030201, 4)
+        before = odd.routing_stats
+        with pytest.raises(BusError) as excinfo:
+            odd.read(0x4004, 4)
+        assert excinfo.value.address == 0x4004
+        with pytest.raises(BusError):
+            odd.write(0x4004, 0xFFFF_FFFF, 4)
+        # Both found the window through the memo, then failed.
+        assert odd.routing_stats == {
+            "memo_hits": before["memo_hits"] + 2,
+            "memo_misses": before["memo_misses"],
+        }
+        assert seen == [(0x4000, 4)]
+        assert odd.device_named("tiny").dump() == b"\x01\x02\x03\x04\x00\x00"
+        assert odd.read(0x4005, 1) == 0
+
+    def test_next_window_after_a_hit(self, bus):
+        bus.attach(0x3000, Ram("high", 0x1000))
+        bus.write(0x2FFC, 0x11, 4)
+        before = bus.routing_stats
+        bus.write(0x3000, 0x22, 4)
+        assert bus.read(0x2FFC, 4) == 0x11
+        assert bus.read(0x3000, 4) == 0x22
+        assert bus.routing_stats == {
+            "memo_hits": before["memo_hits"],
+            "memo_misses": before["memo_misses"] + 3,
+        }
+
+
+class _Clock(Device):
+    """A timed device: counts elapsed cycles, reports a fixed horizon."""
+
+    def __init__(self, horizon: int) -> None:
+        super().__init__("clock", 4)
+        self.horizon = horizon
+        self.elapsed = 0
+
+    def read(self, offset: int, size: int) -> int:
+        return self.elapsed & 0xFFFF_FFFF
+
+    def write(self, offset: int, size: int, value: int) -> None:
+        pass
+
+    def tick(self, cycles: int) -> None:
+        self.elapsed += cycles
+
+    def next_event_in(self):
+        return self.horizon
+
+
+class TestDeviceTime:
+    def test_device_attached_later_is_ticked_and_bounds_the_horizon(
+        self, bus
+    ):
+        assert bus.next_event_in() is None
+        bus.tick(10)
+        clock = _Clock(horizon=37)
+        bus.attach(0x8000, clock)
+        assert bus.next_event_in() == 37
+        bus.tick(5)
+        assert clock.elapsed == 5
+
+    def test_soc_runs_a_device_attached_after_construction(self):
+        soc = SoC()
+        clock = _Clock(horizon=3)
+        soc.bus.attach(0x5000_0000, clock)
+        soc.bus.write(TIMER_BASE + PERIOD, 1000)
+        soc.bus.write(TIMER_BASE + CTRL, CTRL_ENABLE)
+        # The timer's count is further away than the clock's horizon.
+        assert soc.bus.next_event_in() == 3
+        program = assemble("spin:\n    nop\n    jmp spin\n", base=SRAM_BASE)
+        soc.bus.write_bytes(SRAM_BASE, program.data)
+        soc.cpu.ip = SRAM_BASE
+        used = soc.run(max_cycles=500)
+        assert clock.elapsed == used == soc.cpu.cycles
+        # A horizon of 3 is shorter than one spin iteration (4 cycles,
+        # 6 with the branch slack), so nothing ran as a batch.
+        assert soc.cpu.fastpath.traces.stats["runs"] == 0
+        clock.horizon = None
+        soc.run(max_cycles=500)
+        assert soc.cpu.fastpath.traces.stats["runs"] > 0
+        assert clock.elapsed == soc.cpu.cycles
+
+
+class TestWriteListeners:
+    def test_trace_engine_writes_in_reference_order(self):
+        """Every memory write the attestation image's timer ISR and
+        scheduler make reaches a listener as the same ``(address,
+        size)`` sequence on both engines."""
+
+        def run(**engine):
+            platform = TrustLitePlatform(**engine)
+            platform.boot(build_attestation_image(timer_period=2000))
+            writes: list[tuple[int, int]] = []
+            platform.bus.add_write_listener(
+                lambda address, size: writes.append((address, size))
+            )
+            platform.run(max_cycles=30_000)
+            return platform, writes
+
+        traced, traced_writes = run()
+        slow, slow_writes = run(fastpath=False)
+        assert traced.cpu.cycles == slow.cpu.cycles
+        assert traced.engine.stats.interrupts >= 10
+        assert traced.cpu.fastpath.traces.stats["runs"] > 0
+        assert len(slow_writes) > 100
+        assert traced_writes == slow_writes
+
+
 class TestBlockPaths:
     """The bulk helpers route block-wise through ``Device.read_block`` /
     ``write_block`` — semantics must match the old byte-at-a-time loop."""
@@ -103,8 +242,6 @@ class TestBlockPaths:
     def test_block_default_implementation_matches_ports(self):
         # The Device-level default (byte-port loop) and Ram's slice
         # override must agree byte for byte.
-        from repro.machine.device import Device
-
         ram = Ram("r", 16)
         ram.load(0, bytes(range(16)))
         assert Device.read_block(ram, 4, 8) == ram.read_block(4, 8)

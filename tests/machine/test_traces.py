@@ -34,6 +34,7 @@ fast the simulation runs, never what it computes.
 import pytest
 
 from repro.asm import assemble
+from repro.core.exception_engine import RegularExceptionEngine
 from repro.core.platform import TrustLitePlatform
 from repro.errors import MemoryProtectionFault
 from repro.isa.registers import Reg
@@ -380,6 +381,94 @@ spin:
         assert traced_stream.entries == slow_stream.entries
         assert traced.mpu.stats.checks == slow.mpu.stats.checks
         assert traced.cpu.fastpath.traces.stats["instructions"] > 0
+
+    TIMER = 0x1_0000
+
+    def _timed_spin(self, mode: str, pad: bool, period: int, **engine):
+        """A ``jmp .`` (or ``nop; jmp``) spin between timer ticks whose
+        ISR counts in r1; ``period`` 0 leaves the timer off.  ``mode``
+        is the EA-MPU state: ``full`` (enabled), ``disabled`` (attached
+        but off) or ``none`` (no MPU)."""
+        cpu = _machine(
+            f"""
+main:
+    movi r4, {self.TIMER:#x}
+    movi r5, {period}
+    stw r5, [r4+0]
+    movi r5, isr
+    stw r5, [r4+4]
+    movi r5, 1
+    stw r5, [r4+8]
+    sti
+spin:
+{"    nop" if pad else ""}
+    jmp spin
+isr:
+    addi r1, r1, 1
+    iret
+""",
+            **engine,
+        )
+        cpu.bus.attach(self.TIMER, Timer(cpu.irq))
+        cpu.event_horizon = cpu.bus.next_event_in
+        engine_ = RegularExceptionEngine()
+        delivered: list[int] = []
+        deliver = engine_.deliver_interrupt
+
+        def logged(cpu, interrupt):
+            delivered.append(cpu.cycles)
+            return deliver(cpu, interrupt)
+
+        engine_.deliver_interrupt = logged
+        cpu.exception_engine = engine_
+        if mode != "none":
+            mpu = EaMpu(num_regions=8)
+            mpu.program_region(0, 0, RAM_SIZE, Perm.RWX, subjects=ANY_SUBJECT)
+            mpu.program_region(
+                1, self.TIMER, self.TIMER + 0x10, Perm.RW,
+                subjects=ANY_SUBJECT,
+            )
+            mpu.set_enabled(mode == "full")
+            cpu.mpu = mpu
+        cpu._delivered = delivered
+        return cpu
+
+    @pytest.mark.parametrize("mode", ["full", "disabled", "none"])
+    @pytest.mark.parametrize("pad", [False, True], ids=["jmp", "nop-jmp"])
+    @pytest.mark.parametrize(
+        "period, total", [(0, 20_002), (401, 20_000), (997, 30_001)]
+    )
+    def test_spin_matches_the_reference(self, mode, pad, period, total):
+        """Budgets and timer periods that are not multiples of the
+        spin's cost (3 cycles for ``jmp .``, 4 for ``nop; jmp``) end
+        spins mid-iteration-budget; cycles, retired counts, ``ip`` and
+        ``curr_ip``, MPU checks and every IRQ's delivery cycle must
+        still be the reference engine's."""
+
+        def run(**engine):
+            cpu = self._timed_spin(mode, pad, period, **engine)
+            used = 0
+            while used < total:
+                cycles = cpu.step(total - used)
+                cpu.bus.tick(cycles)
+                used += cycles
+            return cpu
+
+        traced = run()
+        slow = run(fastpath=False)
+        assert traced.cycles == slow.cycles
+        assert traced.instructions_retired == slow.instructions_retired
+        assert traced.ip == slow.ip
+        assert traced.curr_ip == slow.curr_ip
+        assert traced.regs == slow.regs
+        assert traced._delivered == slow._delivered
+        if period:
+            assert len(slow._delivered) == total // period
+        if mode != "none":
+            assert traced.mpu.stats.checks == slow.mpu.stats.checks
+            assert traced.mpu.stats.faults == slow.mpu.stats.faults
+        spun = traced.fastpath.traces.stats["instructions"]
+        assert spun > 0.8 * traced.instructions_retired
 
 
 class _Recorder(Device):
