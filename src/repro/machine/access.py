@@ -19,6 +19,11 @@ class AccessType(enum.Enum):
     READ = "r"
     WRITE = "w"
 
+    # Members are singletons, so identity hashing agrees with equality
+    # and skips ``Enum.__hash__`` (a Python-level call hashing the name)
+    # on every lookaside probe.  Either hash varies per process.
+    __hash__ = object.__hash__
+
     @property
     def permission_letter(self) -> str:
         """The r/w/x letter this access needs in an MPU rule."""

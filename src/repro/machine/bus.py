@@ -76,6 +76,9 @@ class Bus:
         self._ram_data: list[bytes | bytearray | None] = []
         self._ram_store: list[bytearray | None] = []
         self._last = -1  # index of the most recently hit window
+        # Devices whose class overrides ``tick`` or ``next_event_in``;
+        # the rest are timeless and never walked.
+        self._timed: list[Device] = []
         # Routing observability (streak locality of the memo); exported
         # through :attr:`routing_stats` and surfaced per-device in the
         # fleet metrics registry.
@@ -115,6 +118,12 @@ class Bus:
                 hook = partial(self._on_memory_change, i)
                 device.add_hook(self, hook)
                 hook(0, 0)
+        self._timed = [
+            device
+            for device in self._devices
+            if type(device).tick is not Device.tick
+            or type(device).next_event_in is not Device.next_event_in
+        ]
         self._last = -1
 
     def _on_memory_change(self, i: int, offset: int, length: int) -> None:
@@ -227,9 +236,22 @@ class Bus:
     # ------------------------------------------------------------------
     # Single-access ports.
 
+    # ``read`` and ``write`` first try the last-hit window inline, with
+    # ``_check_access``'s alignment and end-of-device tests and
+    # ``_index_of``'s memo count; anything else takes the full path.
+
     def read(self, address: int, size: int = 4) -> int:
         """Read ``size`` bytes (1 or 4) from the physical address space."""
-        i = self._check_access(address, size)
+        i = self._last
+        if (
+            i >= 0
+            and self._bases[i] <= address
+            and address + size <= self._ends[i]
+            and not (size == 4 and address & 3)
+        ):
+            self.memo_hits += 1
+        else:
+            i = self._check_access(address, size)
         data = self._ram_data[i]
         offset = address - self._bases[i]
         if data is not None:
@@ -238,7 +260,16 @@ class Bus:
 
     def write(self, address: int, value: int, size: int = 4) -> None:
         """Write ``size`` bytes (1 or 4) to the physical address space."""
-        i = self._check_access(address, size)
+        i = self._last
+        if (
+            i >= 0
+            and self._bases[i] <= address
+            and address + size <= self._ends[i]
+            and not (size == 4 and address & 3)
+        ):
+            self.memo_hits += 1
+        else:
+            i = self._check_access(address, size)
         offset = address - self._bases[i]
         store = self._ram_store[i]
         if store is not None:
@@ -327,15 +358,15 @@ class Bus:
         )
 
     def next_event_in(self):
-        """Minimum of the attached devices' event horizons (or None)."""
+        """Minimum of the timed devices' event horizons (or None)."""
         horizon = None
-        for mapping in self._mappings:
-            candidate = mapping.device.next_event_in()
+        for device in self._timed:
+            candidate = device.next_event_in()
             if candidate is not None and (horizon is None or candidate < horizon):
                 horizon = candidate
         return horizon
 
     def tick(self, cycles: int) -> None:
-        """Advance time on every attached device."""
-        for mapping in self._mappings:
-            mapping.device.tick(cycles)
+        """Advance time on every timed device."""
+        for device in self._timed:
+            device.tick(cycles)

@@ -14,8 +14,8 @@ simulation analogue, and it must be *semantically invisible*:
   exist only for RAM-backed addresses (fetching from MMIO would skip a
   read side effect).
 * One page index, owned by :class:`FastPath`, maps every 256-byte page
-  that holds cached code to the decode-cache addresses and recorded
-  traces (:mod:`repro.machine.traces`) on it.  Every change to memory
+  that holds cached code to the decode-cache addresses, recorded
+  traces and refused trace heads (:mod:`repro.machine.traces`) on it.  Every change to memory
   contents reaches it on one channel, the bus write listener: bus
   stores and DMA directly, and the host-side ports that bypass the bus
   (``Ram.load``/``wipe``/``restore_state``, which tamper, OTA writes,
@@ -62,6 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # Invalidation granule: writes are filtered against 256-byte pages, so
 # a store that lands nowhere near cached code is two dict probes.
 PAGE_SHIFT = 8
+PAGE_SIZE = 1 << PAGE_SHIFT
 
 _PERM_FOR_ACCESS = {
     AccessType.READ: int(Perm.R),
@@ -239,7 +240,8 @@ class FastPath:
     # -- invalidation ---------------------------------------------------
 
     def index(self, member, pages) -> None:
-        """File ``member`` (a decode address or a trace) under ``pages``."""
+        """File ``member`` (a decode address, a trace or a refused
+        trace head) under ``pages``."""
         for page in pages:
             self._pages.setdefault(page, set()).add(member)
 
@@ -250,8 +252,8 @@ class FastPath:
                 members.discard(member)
 
     def _on_bus_write(self, address: int, length: int) -> None:
-        """Drop every decoded instruction and trace sharing a page with
-        ``[address, +length)``.
+        """Drop every decoded instruction, trace and refused trace head
+        sharing a page with ``[address, +length)``.
 
         Page-conservative (an entry in the written page but not at the
         written byte is dropped too): costs only a spurious re-decode or
@@ -259,14 +261,16 @@ class FastPath:
         other page it was filed under, so a later write there cannot
         count it twice or drop its successor.
         """
-        traces = self._traces
-        if traces is not None and traces._blacklist:
-            # The code that made a head unrecordable may just have
-            # changed; re-discover from scratch.
-            traces._blacklist.clear()
         pages = self._pages
-        if not pages:
+        if length <= PAGE_SIZE:
+            # A write of at most one page spans at most these two.
+            if not pages.get(address >> PAGE_SHIFT) and not pages.get(
+                (address + length - 1) >> PAGE_SHIFT
+            ):
+                return
+        elif not pages:
             return
+        traces = self._traces
         entries = self.decode_cache.entries
         for page in _pages_of(address, length):
             members = pages.pop(page, None)

@@ -55,7 +55,8 @@ plumbing.
   ops occupies.  Every change to memory contents reaches that index as
   a bus write (host-side ``Ram.load``/``wipe``/``restore_state``
   included, through the bus's memory hook), which kills the traces on
-  the written pages and clears the recording blacklist; a store
+  the written pages and forgets the refused heads filed there (a head
+  is refused only for the bytes of its first instruction); a store
   *inside* a running trace checks a shared ``alive`` cell and exits.
   Bus topology changes and MPU re-attach flush every trace, and MPU
   ``generation`` bumps force revalidation of the baked subject masks
@@ -191,6 +192,21 @@ class Trace:
         return fn
 
 
+class _Refusal:
+    """A head whose first instruction the recorder refused.
+
+    That depends only on the bytes of the instruction at ``head``, so
+    the refusal is filed in the fast path's page index under those
+    pages and lasts until one of them is written (or a flush).
+    """
+
+    __slots__ = ("head", "pages")
+
+    def __init__(self, head: int, pages: tuple) -> None:
+        self.head = head
+        self.pages = pages
+
+
 class _Codegen:
     """Emits the Python source of one trace closure."""
 
@@ -229,6 +245,11 @@ class _Codegen:
             self.chk.append(tk)
         self.iter_max = tc + BRANCH_TAKEN_PENALTY
         self.addr_last = ops[-1][0]
+        # An idle spin (``jmp .``, ``nop; jmp``) changes nothing but
+        # time, so the plain closure runs all its iterations at once.
+        self.spin = closing == "jmp" and all(
+            instr.op in (Op.JMP, Op.NOP) for _a, instr, _ln, _c in ops
+        )
         self.lines: list[str] = []
 
     # -- helpers --------------------------------------------------------
@@ -510,8 +531,29 @@ class _Codegen:
                 self._retire(pad, n - 1)
             self._exit(pad, n, 0, addr + length, addr)
 
+    def _emit_spin(self) -> None:
+        """Closed form of the loop ``emit`` would write for a spin: an
+        iteration runs while ``cycles + iter_max <= allowed``, so ``n``
+        of them run, each adding the same constants, and the loop
+        leaves ``ip`` at the head and ``curr_ip`` at the closing jump.
+        The dispatcher only calls with ``allowed >= iter_max``."""
+        out = self.lines.append
+        per = len(self.ops)
+        out("def __trace__(cpu, allowed):")
+        out(f"    n = (allowed - {self.iter_max}) // {self.cyc[-1]} + 1")
+        out(f"    cpu.ip = {self.head}")
+        out(f"    cpu.curr_ip = {self.addr_last}")
+        out(f"    cpu.instructions_retired += n * {per}")
+        if self.counting:
+            out(f"    _la.mpu.stats.checks += n * {self.chk[-1]} - "
+                f"{self.ops[0][2] // 4}")
+        out(f"    return n * {self.cyc[-1]}, n * {per}")
+
     def emit(self) -> str:
         out = self.lines.append
+        if self.spin and not self.observed:
+            self._emit_spin()
+            return "\n".join(self.lines) + "\n"
         has_mem = any(i.op in _MEM_OPS for _a, i, _ln, _c in self.ops)
         has_store = any(
             i.op in (Op.STW, Op.STB, Op.PUSH) for _a, i, _ln, _c in self.ops
@@ -578,7 +620,8 @@ class TraceEngine:
         self.bus = fastpath.bus
         self._hot: dict[int, int] = {}
         self._traces: dict[int, Trace] = {}
-        self._blacklist: set[int] = set()
+        # Heads the recorder refused: head -> its _Refusal.
+        self._blacklist: dict[int, _Refusal] = {}
         self.runs = 0
         self.instructions = 0
         self.batched_cycles = 0
@@ -621,11 +664,15 @@ class TraceEngine:
 
     # -- invalidation ---------------------------------------------------
 
-    def kill(self, trace: Trace) -> None:
-        """Retire ``trace`` because its code changed; the fast path has
-        already taken it out of the page index."""
-        trace.alive[0] = False
-        del self._traces[trace.head]
+    def kill(self, member) -> None:
+        """Retire a trace, or forget a refusal, because bytes on its
+        pages changed; the fast path has already taken ``member`` out
+        of the page index."""
+        if type(member) is _Refusal:
+            del self._blacklist[member.head]
+            return
+        member.alive[0] = False
+        del self._traces[member.head]
         self.invalidations += 1
 
     def flush(self) -> None:
@@ -633,6 +680,8 @@ class TraceEngine:
         for trace in self._traces.values():
             trace.alive[0] = False
             unindex(trace, trace.pages)
+        for refusal in self._blacklist.values():
+            unindex(refusal, refusal.pages)
         self._traces.clear()
         self._hot.clear()
         self._blacklist.clear()
@@ -696,8 +745,9 @@ class TraceEngine:
         la = self.fastpath.lookaside
         checker = cpu._checker
         if checker is not None and la is None:
-            # Non-lookaside MPU hook: checks cannot be folded.
-            self._blacklist.add(head)
+            # Non-lookaside MPU hook: checks cannot be folded.  Only a
+            # new hook changes that, and attaching one flushes.
+            self._blacklist[head] = _Refusal(head, ())
             return
         if la is not None and la.mpu.generation != la._generation:
             la._reload()
@@ -709,7 +759,10 @@ class TraceEngine:
         walk = self._walk(head)
         if walk is None:
             self.aborted += 1
-            self._blacklist.add(head)
+            # The walk read at most the two words at ``head``.
+            refusal = _Refusal(head, tuple(_pages_of(head, 8)))
+            self._blacklist[head] = refusal
+            self.fastpath.index(refusal, refusal.pages)
             return
         ops, closing = walk
         masks: list = [None] * len(ops)

@@ -186,6 +186,30 @@ class TestDeviceTime:
         assert clock.elapsed == soc.cpu.cycles
 
 
+    def test_timeless_devices_are_never_walked(self, monkeypatch):
+        """Only devices whose class overrides ``tick`` or
+        ``next_event_in`` are called; the defaults never run."""
+        calls = []
+        monkeypatch.setattr(
+            Device, "tick", lambda self, cycles: calls.append(self.name)
+        )
+        monkeypatch.setattr(
+            Device, "next_event_in", lambda self: calls.append(self.name)
+        )
+        soc = SoC()
+        clock = _Clock(horizon=None)
+        soc.bus.attach(0x5000_0000, clock)
+        program = assemble("spin:\n    nop\n    jmp spin\n", base=SRAM_BASE)
+        soc.bus.write_bytes(SRAM_BASE, program.data)
+        soc.cpu.ip = SRAM_BASE
+        soc.bus.write(TIMER_BASE + PERIOD, 100)
+        soc.bus.write(TIMER_BASE + CTRL, CTRL_ENABLE)
+        soc.run(max_cycles=2_000)
+        assert calls == []
+        assert clock.elapsed == soc.cpu.cycles == 2_000
+        assert soc.timer.fired == 20
+
+
 class TestWriteListeners:
     def test_trace_engine_writes_in_reference_order(self):
         """Every memory write the attestation image's timer ISR and
