@@ -15,12 +15,12 @@ simulation analogue, and it must be *semantically invisible*:
   read side effect).
 * One page index, owned by :class:`FastPath`, maps every 256-byte page
   that holds cached code to the decode-cache addresses, recorded
-  traces and refused trace heads (:mod:`repro.machine.traces`) on it.  Every change to memory
-  contents reaches it on one channel, the bus write listener: bus
-  stores and DMA directly, and the host-side ports that bypass the bus
-  (``Ram.load``/``wipe``/``restore_state``, which tamper, OTA writes,
-  fault flips and snapshot restore use) through the bus's hook on each
-  memory window.  The listener drops whatever shares a written page,
+  traces and refused trace heads (:mod:`repro.machine.traces`) on it.
+  Every change to memory contents reaches it on one channel, the bus
+  write listener: bus stores and DMA directly, and the host-side ports
+  that bypass the bus (``Ram.load``/``wipe``/``restore_state``, which
+  tamper, OTA writes, fault flips and snapshot restore use) through
+  the bus's hook on each memory window.  The listener drops whatever shares a written page,
   so the common case — a data write nowhere near cached code — costs
   two dict probes.
 * :class:`MpuLookaside` — memoizes EA-MPU decisions per

@@ -411,16 +411,16 @@ isr:
         )
         cpu.bus.attach(self.TIMER, Timer(cpu.irq))
         cpu.event_horizon = cpu.bus.next_event_in
-        engine_ = RegularExceptionEngine()
+        exceptions = RegularExceptionEngine()
         delivered: list[int] = []
-        deliver = engine_.deliver_interrupt
+        deliver = exceptions.deliver_interrupt
 
         def logged(cpu, interrupt):
             delivered.append(cpu.cycles)
             return deliver(cpu, interrupt)
 
-        engine_.deliver_interrupt = logged
-        cpu.exception_engine = engine_
+        exceptions.deliver_interrupt = logged
+        cpu.exception_engine = exceptions
         if mode != "none":
             mpu = EaMpu(num_regions=8)
             mpu.program_region(0, 0, RAM_SIZE, Perm.RWX, subjects=ANY_SUBJECT)
