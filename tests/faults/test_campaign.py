@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import FaultError
+from repro.faults import campaign as campaign_module
 from repro.faults import (
     SCENARIO_NAMES,
     CampaignConfig,
@@ -14,6 +15,7 @@ from repro.faults import (
     run_scenario,
 )
 from repro.faults.campaign import SCHEMA, ScenarioTask
+from repro.fleet import device_key, hydrate_devices
 
 # Small but complete: every scenario, one attestation round each.
 SMALL = CampaignConfig(seed=1, rounds=1, step_cycles=500, codec_trials=3)
@@ -142,3 +144,35 @@ class TestDeterminism:
         assert other["ok"] is True  # invariants hold for any seed
         assert json.dumps(other, sort_keys=True) != \
             json.dumps(small_report, sort_keys=True)
+
+
+def _campaign_on(engine, seed):
+    """The default campaign at ``seed`` with every clone on ``engine``."""
+
+    def hydrate(task, *device_ids):
+        return hydrate_devices(
+            task.snapshot_blob,
+            {i: device_key(task.config.seed, i) for i in device_ids},
+            engine=engine,
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign_module, "_hydrate", hydrate)
+        return run_campaign(CampaignConfig(seed=seed))
+
+
+class TestEngineAgreement:
+    """A campaign's findings do not depend on the engine it clones on."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_reference_and_trace_agree(self, seed):
+        reference = _campaign_on("reference", seed)
+        trace = _campaign_on("trace", seed)
+        assert [s["name"] for s in trace["scenarios"]] == \
+            list(SCENARIO_NAMES)
+        for ref, got in zip(reference["scenarios"], trace["scenarios"]):
+            if ref["name"] == "irq_storm":
+                continue  # draws once per interrupt poll
+            assert json.dumps(got["detail"], sort_keys=True) == \
+                json.dumps(ref["detail"], sort_keys=True), ref["name"]
+            assert got["violations"] == ref["violations"], ref["name"]
