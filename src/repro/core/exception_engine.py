@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core import layout
-from repro.core.trustlet_table import TrustletTable
+from repro.core.trustlet_table import TrustletTable, os_row_of, row_covering
 from repro.errors import (
     InvalidInstruction,
     MachineError,
@@ -177,7 +177,10 @@ class SecureExceptionEngine(RegularExceptionEngine):
         self.table = table
 
     def _save_context(self, cpu: Cpu) -> tuple[int, int, int]:
-        row = self.table.row_for_ip(cpu.curr_ip)
+        # One table read serves both lookups: the interrupted row and,
+        # for a trustlet, the OS row whose stack takes over.
+        rows = self.table.rows()
+        row = row_covering(rows, cpu.curr_ip)
         if row is None or row.is_os:
             # Not a trustlet: the regular save plus the detection cost.
             flags, return_ip, cycles = super()._save_context(cpu)
@@ -195,7 +198,7 @@ class SecureExceptionEngine(RegularExceptionEngine):
         cpu.clear_gprs()
         # Step 3: the OS stack, with the return IP sanitized to the
         # trustlet's entry vector.
-        os_row = self.table.os_row()
+        os_row = os_row_of(rows)
         if os_row is None:
             raise MachineError(
                 "secure exception engine: trustlet table has no OS row"

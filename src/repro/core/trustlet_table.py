@@ -97,6 +97,16 @@ class TrustletRow:
         return self.code_base <= instruction_pointer < self.code_end
 
 
+def row_covering(rows, instruction_pointer: int) -> TrustletRow | None:
+    """The first of ``rows`` whose code region covers the pointer."""
+    return next((r for r in rows if r.covers_ip(instruction_pointer)), None)
+
+
+def os_row_of(rows) -> TrustletRow | None:
+    """The first of ``rows`` flagged as the OS row."""
+    return next((r for r in rows if r.is_os), None)
+
+
 class TrustletTable:
     """Host handle to the in-memory Trustlet Table."""
 
@@ -180,7 +190,15 @@ class TrustletTable:
         )
 
     def rows(self) -> list[TrustletRow]:
-        return [self.row(i) for i in range(self.count)]
+        """Every populated row, read with the count as one block."""
+        block = self.bus.read_bytes(self.base, self.end - self.base)
+        count = int.from_bytes(block[:HEADER_SIZE], "little")
+        if count > self.capacity:
+            raise PlatformError(f"trustlet table count {count} too large")
+        return [
+            TrustletRow(i, *_ROW.unpack_from(block, HEADER_SIZE + i * ROW_SIZE))
+            for i in range(count)
+        ]
 
     def find_by_name(self, name: str) -> TrustletRow | None:
         """Row whose id tag matches ``name`` (first four bytes)."""
@@ -192,16 +210,10 @@ class TrustletTable:
 
     def row_for_ip(self, instruction_pointer: int) -> TrustletRow | None:
         """Row whose code region covers ``instruction_pointer``."""
-        for row in self.rows():
-            if row.covers_ip(instruction_pointer):
-                return row
-        return None
+        return row_covering(self.rows(), instruction_pointer)
 
     def os_row(self) -> TrustletRow | None:
-        for row in self.rows():
-            if row.is_os:
-                return row
-        return None
+        return os_row_of(self.rows())
 
     # ------------------------------------------------------------------
     # Hardware-side accessors (secure exception engine).

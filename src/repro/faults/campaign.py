@@ -17,7 +17,10 @@ and checks the paper's security invariants:
   never crash with ``IndexError``/``struct.error`` or hang.
 
 Every scenario clones the fleet's shared golden boot
-(:func:`~repro.fleet.parallel.golden_boot`) and travels as a
+(:func:`~repro.fleet.parallel.golden_boot`) on the fleet's default
+(trace) engine, like ``serve`` and ``ota`` — every fault, the IRQ
+storm included, lands at the same simulated cycle on any engine — and
+travels as a
 :class:`ScenarioTask` carrying the frozen :class:`CampaignConfig`; the
 OTA scenarios sign their containers with
 :func:`repro.ota.campaign.sign_containers`, like the OTA campaign.
@@ -25,7 +28,7 @@ OTA scenarios sign their containers with
 Everything is derived from one seed through
 :class:`~repro.faults.plan.FaultPlan` scopes, and the report contains
 no execution metadata at all — the campaign JSON is byte-identical
-across runs *and* across worker counts, which is itself asserted by
+across runs, worker counts *and* engines, which is itself asserted by
 the test suite.  Exit codes of ``python -m repro faults`` follow the
 repo convention: 0 all invariants hold, 1 violations, 2 usage error.
 """
@@ -48,11 +51,7 @@ from repro.faults.plan import FaultPlan
 from repro.fleet.device import FleetDevice
 from repro.fleet.executor import RecoveryLog, RetryPolicy, run_resilient
 from repro.fleet.metrics import MetricsRegistry
-from repro.fleet.parallel import (
-    ENGINE_REFERENCE,
-    golden_boot,
-    hydrate_devices,
-)
+from repro.fleet.parallel import golden_boot, hydrate_devices
 from repro.fleet.service import device_key
 from repro.fleet.transport import (
     FaultModel,
@@ -131,18 +130,11 @@ class ScenarioTask:
 
 
 def _hydrate(task: ScenarioTask, *device_ids: int) -> dict[int, FleetDevice]:
-    """Clone the scenario's devices from the golden blob.
-
-    The clones run on the reference engine.  ``irq_storm`` draws once
-    per interrupt poll, which is once per instruction there but once
-    per trace batch on the trace engine, so the storm (and with it the
-    report) would change with the engine.
-    """
+    """Clone the scenario's devices from the golden blob."""
     return hydrate_devices(
         task.snapshot_blob,
         {device_id: device_key(task.config.seed, device_id)
          for device_id in device_ids},
-        engine=ENGINE_REFERENCE,
     )
 
 
@@ -295,7 +287,7 @@ def _scenario_mpu_perm_glitch(task, rng):
 def _scenario_irq_storm(task, rng):
     """Spurious vectored interrupts latch while the guest runs."""
     device = _hydrate(task, 0)[0]
-    storm = inject_irq_storm(device.platform, rng, rate=0.2)
+    storm = inject_irq_storm(device.platform, rng, mean_gap=10)
     rounds, _, guest_errors = _attest(task, {0: device}, step=True)
     violations = _check_no_false_compromise(rounds, [0])
     detail = {

@@ -18,8 +18,10 @@ real silicon:
 * **MPU glitches** go through :class:`~repro.machine.snapshot.MpuState`
   capture/mutate/apply, the scan-chain path, which bumps the region
   file's generation and flushes the permission lookaside;
-* **IRQ faults** wrap the interrupt controller *instance* (a glitching
-  interrupt fabric), leaving the class untouched;
+* **IRQ faults** wrap *instances*, leaving the classes untouched: the
+  storm runs in device time (the bus's ``tick`` and the CPU's
+  ``event_horizon``), drops wrap the interrupt controller (a glitching
+  interrupt fabric);
 * **blob corruption** mangles serialized snapshot bytes, modelling a
   torn write or bad sector under the fleet's provisioning path.
 """
@@ -117,35 +119,47 @@ def glitch_mpu_permissions(platform, rng: random.Random) -> dict:
 
 
 def inject_irq_storm(
-    platform, rng: random.Random, *, rate: float = 0.2
+    platform, rng: random.Random, *, mean_gap: int = 64
 ) -> dict:
-    """Latch spurious (vectored) interrupt lines as the CPU polls.
+    """Latch spurious (vectored) interrupt lines in simulated time.
 
-    Wraps the interrupt controller's ``pending`` on the *instance*:
-    each poll latches a random line with probability ``rate``, drawn
-    only from lines the exception engine has a handler for — a
-    glitching fabric re-raising real lines, not inventing wiring.
-    The returned dict's ``"raised"`` counts injected interrupts and
-    keeps updating live.
+    Arrivals come ``1 + rng.randrange(2 * mean_gap - 1)`` cycles apart
+    and count down in device time, as the timer and watchdog do: the
+    bus's ``tick`` and the CPU's ``event_horizon`` are wrapped on the
+    *instances*, so a trace batch stops at the next arrival and every
+    engine latches each line at the same cycle, after the devices' own
+    events of that tick.  Lines are drawn only from those the exception
+    engine has a handler for — a glitching fabric re-raising real
+    lines, not inventing wiring.  The returned dict's ``"raised"``
+    counts arrivals and keeps updating live.
     """
-    if not 0.0 <= rate < 1.0:
-        raise FaultError(f"rate must be in [0, 1): {rate}")
-    irq = platform.soc.irq
+    if mean_gap < 1:
+        raise FaultError(f"mean_gap must be >= 1 cycle: {mean_gap}")
+    soc = platform.soc
     lines = sorted(platform.engine.irq_vectors)
-    original = irq.pending
-    state = {"kind": "irq_storm", "rate": rate, "raised": 0,
+    state = {"kind": "irq_storm", "mean_gap": mean_gap, "raised": 0,
              "lines": lines}
+    if not lines:
+        return state
+    device_tick, device_horizon = soc.bus.tick, soc.cpu.event_horizon
+    countdown = 1 + rng.randrange(2 * mean_gap - 1)
 
-    def stormy_pending(*, ie: bool = True):
-        if lines and rng.random() < rate:
+    def stormy_tick(cycles: int) -> None:
+        nonlocal countdown
+        device_tick(cycles)
+        while countdown <= cycles:
+            cycles -= countdown
+            countdown = 1 + rng.randrange(2 * mean_gap - 1)
             line = lines[rng.randrange(len(lines))]
-            irq.raise_line(
-                Interrupt(line=line, source="fault:storm")
-            )
+            soc.irq.raise_line(Interrupt(line=line, source="fault:storm"))
             state["raised"] += 1
-        return original(ie=ie)
+        countdown -= cycles
 
-    irq.pending = stormy_pending
+    def stormy_horizon() -> int:
+        horizon = device_horizon()
+        return countdown if horizon is None else min(horizon, countdown)
+
+    soc.bus.tick, soc.cpu.event_horizon = stormy_tick, stormy_horizon
     return state
 
 

@@ -22,11 +22,10 @@ goal demands:
    (:attr:`RetryPolicy.max_pool_rebuilds` exceeded) or a single task
    keeps failing, the survivors run *in-process* — slower, but the
    report still completes.
-4. **Account.**  Every recovery event lands in a
-   :class:`RecoveryLog` (backed by the fleet
-   :class:`~repro.fleet.metrics.MetricsRegistry`), including a
-   deterministic simulated-cycle backoff charge per rebuild, so the
-   report's ``execution`` section says what it took to produce it.
+4. **Account.**  Every recovery event is counted in a
+   :class:`RecoveryLog`, with a deterministic simulated-cycle backoff
+   charge per rebuild, so the report's ``execution`` section says what
+   it took to produce it.
 
 Delivery has one mode: every result is streamed to the caller's
 ``consume(index, result)`` as it completes — whether it came from a
@@ -46,11 +45,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro.errors import FleetError, ShardExecutionError
-from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.pool import discard_warm_pool, get_warm_pool
 
-# Recovery event kinds; each increments an ``executor_<kind>`` counter
-# and the aggregate ``executor_recoveries``.
+# Recovery event kinds; each is counted on its own and in the
+# aggregate ``recoveries``.
 WORKER_CRASH = "worker_crash"
 TASK_TIMEOUT = "task_timeout"
 TASK_RETRY = "task_retry"
@@ -100,7 +98,7 @@ class RetryPolicy:
 
 
 class RecoveryLog:
-    """Counted recovery events (a :class:`MetricsRegistry` underneath).
+    """Counted recovery events.
 
     The log is deliberately *separate* from the experiment's metrics
     registry: recovery is a property of one run's execution, not of
@@ -110,24 +108,14 @@ class RecoveryLog:
     """
 
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-        self.events: list[dict] = []
+        self._counts = dict.fromkeys(_KINDS, 0)
+        self.backoff_cycles = 0
 
-    def record(
-        self, kind: str, task_id, attempt: int, *, backoff_cycles: int = 0
-    ) -> None:
+    def record(self, kind: str, *, backoff_cycles: int = 0) -> None:
         if kind not in _KINDS:
             raise FleetError(f"unknown recovery event kind {kind!r}")
-        self.metrics.counter(f"executor_{kind}").inc()
-        self.metrics.counter("executor_recoveries").inc()
-        if backoff_cycles:
-            self.metrics.counter("executor_backoff_cycles").inc(
-                backoff_cycles
-            )
-        self.events.append(dict(
-            kind=kind, task=task_id, attempt=attempt,
-            backoff_cycles=backoff_cycles,
-        ))
+        self._counts[kind] += 1
+        self.backoff_cycles += backoff_cycles
 
     def pool_broke(self, policy: RetryPolicy, rebuilds: int) -> bool:
         """One step of the rebuild-or-degrade ladder for the
@@ -135,29 +123,22 @@ class RecoveryLog:
         backoff, or ``DEGRADED`` once ``max_pool_rebuilds`` is spent.
         Returns whether the caller must finish inline."""
         if rebuilds > policy.max_pool_rebuilds:
-            self.record(DEGRADED, None, rebuilds)
+            self.record(DEGRADED)
             return True
-        self.record(
-            POOL_REBUILD, None, rebuilds,
-            backoff_cycles=policy.backoff(rebuilds),
-        )
+        self.record(POOL_REBUILD, backoff_cycles=policy.backoff(rebuilds))
         return False
 
     @property
     def recoveries(self) -> int:
-        return self.metrics.counter("executor_recoveries").value
+        return sum(self._counts.values())
 
     def to_dict(self) -> dict:
         """JSON-ready counts for a report's ``execution`` section."""
-        counters = {
-            kind: self.metrics.counter(f"executor_{kind}").value
-            for kind in _KINDS
+        return {
+            **self._counts,
+            "recoveries": self.recoveries,
+            "backoff_cycles": self.backoff_cycles,
         }
-        counters["recoveries"] = self.recoveries
-        counters["backoff_cycles"] = self.metrics.counter(
-            "executor_backoff_cycles"
-        ).value
-        return counters
 
 
 def run_resilient(
@@ -212,7 +193,7 @@ def run_resilient(
                     raise ShardExecutionError(
                         ids[index], attempts, exc
                     ) from exc
-                log.record(TASK_RETRY, ids[index], attempts)
+                log.record(TASK_RETRY)
                 continue
             consume(index, result)
             return
@@ -236,7 +217,7 @@ def run_resilient(
                 # crashing task can break the pool while later tasks
                 # are still being submitted.
                 pending[index] += 1
-                log.record(WORKER_CRASH, ids[index], pending[index])
+                log.record(WORKER_CRASH)
                 abandoned = True
             not_done = set(futures)
             while not_done and not abandoned:
@@ -250,7 +231,7 @@ def run_resilient(
                     # earliest task still out is hung.
                     index = min(futures[f] for f in not_done)
                     pending[index] += 1
-                    log.record(TASK_TIMEOUT, ids[index], pending[index])
+                    log.record(TASK_TIMEOUT)
                     abandoned = True
                     break
                 for future in sorted(done, key=lambda f: futures[f]):
@@ -262,9 +243,7 @@ def run_resilient(
                         result = future.result()
                     except BrokenProcessPool:
                         pending[index] += 1
-                        log.record(
-                            WORKER_CRASH, ids[index], pending[index]
-                        )
+                        log.record(WORKER_CRASH)
                         abandoned = True
                         break
                     except Exception as exc:
@@ -274,7 +253,7 @@ def run_resilient(
                             raise ShardExecutionError(
                                 ids[index], pending[index], exc
                             ) from exc
-                        log.record(TASK_RETRY, ids[index], pending[index])
+                        log.record(TASK_RETRY)
                         continue
                     del pending[index]
                     consume(index, result)

@@ -400,17 +400,17 @@ class AttestationService:
                 except BrokenProcessPool:
                     # A broken pool rejects at *submit*; check inline
                     # (pure function — identical verdicts).
-                    self._pool_broke(self._pool, batch.batch_index)
+                    self._pool_broke(self._pool)
                     dispatched.inline = verify_quote_batch(batch)
             self._inflight.append(dispatched)
 
-    def _pool_broke(self, pool, batch_index: int) -> None:
+    def _pool_broke(self, pool) -> None:
         """One ``worker_crash`` per broken pool, then the executor's
         rebuild-or-degrade ladder under the default ``RetryPolicy``;
         batches in flight on a replaced pool add no event."""
         if pool is not self._pool:
             return
-        self.recovery.record(WORKER_CRASH, batch_index, 1)
+        self.recovery.record(WORKER_CRASH)
         discard_warm_pool(self.workers)
         self._rebuilds += 1
         if self.recovery.pool_broke(RetryPolicy(), self._rebuilds):
@@ -444,9 +444,9 @@ class AttestationService:
         try:
             return dispatched.future.result()
         except BrokenProcessPool:
-            self._pool_broke(dispatched.pool, dispatched.batch.batch_index)
+            self._pool_broke(dispatched.pool)
         except Exception:
-            self.recovery.record(TASK_RETRY, dispatched.batch.batch_index, 1)
+            self.recovery.record(TASK_RETRY)
         return verify_quote_batch(dispatched.batch)
 
     def _harvest_ready(self) -> None:

@@ -152,7 +152,7 @@ def mpu_glitch(device, golden):
 
 
 def irq_storm(device, golden):
-    inject_irq_storm(device.platform, random.Random(4), rate=0.2)
+    inject_irq_storm(device.platform, random.Random(4), mean_gap=10)
     step(device.platform)
     return device.platform
 

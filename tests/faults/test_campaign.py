@@ -170,9 +170,8 @@ class TestEngineAgreement:
         trace = _campaign_on("trace", seed)
         assert [s["name"] for s in trace["scenarios"]] == \
             list(SCENARIO_NAMES)
-        for ref, got in zip(reference["scenarios"], trace["scenarios"]):
-            if ref["name"] == "irq_storm":
-                continue  # draws once per interrupt poll
-            assert json.dumps(got["detail"], sort_keys=True) == \
-                json.dumps(ref["detail"], sort_keys=True), ref["name"]
-            assert got["violations"] == ref["violations"], ref["name"]
+        assert json.dumps(trace, sort_keys=True) == \
+            json.dumps(reference, sort_keys=True)
+        # The storm scenario is in the report, and its storm raged.
+        storm = {s["name"]: s for s in trace["scenarios"]}["irq_storm"]
+        assert storm["detail"]["raised"] > 0
