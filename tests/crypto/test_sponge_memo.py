@@ -13,6 +13,10 @@ finalization memo, keyed on (state, partial last block): it must hit
 only when the whole region is unchanged, and a second measurement,
 served by both memos, must still equal the reference.
 
+The same mutation paths then run past the verifier: each mutated
+device answers a challenge first, and both verifier paths must reach
+the verdict a memo-free recomputation reaches.
+
 The aliasing, bound and property tests below hold the memos, the MAC
 prefix cache and nonce sources to the same reference and to the
 known-answer vectors.
@@ -46,9 +50,17 @@ from repro.faults import (
     inject_irq_drops,
     inject_irq_storm,
 )
-from repro.fleet.device import quote_material
-from repro.fleet.parallel import golden_boot, hydrate_devices
+from repro.crypto.mac import constant_time_equal
+from repro.fleet.device import FleetDevice, quote_material
+from repro.fleet.parallel import (
+    QuoteCheckBatch,
+    golden_boot,
+    hydrate_devices,
+    verify_quote_batch,
+)
 from repro.fleet.service import device_key
+from repro.fleet.transport import InProcessTransport
+from repro.fleet.verifier import FleetVerifier
 from repro.machine.snapcodec import decode_snapshot
 from repro.machine.soc import SRAM_BASE
 from repro.ota.campaign import _tamper_installed, sign_containers
@@ -295,6 +307,74 @@ def test_memo_hits_on_repeated_quotes(golden):
 
 
 # ---------------------------------------------------------------------------
+# The verifier's expected quote under every mutation path.
+
+SIBLING_KEY = device_key(0, 1)
+NONCE = bytes(range(8))
+
+
+def reference_rows(platform) -> list[tuple[int, bytes]]:
+    """``(name_tag, digest)`` of every live row, memo-free."""
+    return [
+        (row.name_tag, reference_digest(live(platform, region)))
+        for row, region in zip(platform.table.rows(), regions(platform))
+    ]
+
+
+def checks(verifier, expected_rows, device_id, seq, quote, key):
+    """The verdicts of both verifier paths on one quote: the fleet
+    verifier's ``expected_quote`` and the service's batch check."""
+    online = constant_time_equal(
+        quote, verifier.expected_quote(device_id, NONCE, seq)
+    )
+    batch = QuoteCheckBatch(
+        batch_index=0,
+        expected_rows=tuple(expected_rows),
+        items=((device_id, seq, NONCE, quote, key),),
+    )
+    return online, verify_quote_batch(batch) == (True,)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_verifier_rejects_every_mutation(case, golden):
+    """Each device answers first, so its own quote is in the caches
+    before the verifier recomputes the expected one.  The verdict must
+    be the memo-free one: a device whose measured code changed is
+    rejected on both paths, and an untouched sibling is accepted."""
+    mutate, changes, ota = CASES[case]
+    devices = hydrate_devices(golden.blob, {0: KEY, 1: SIBLING_KEY})
+    if ota:
+        v1, _v2, root = signed()
+        for device in devices.values():
+            device.platform.boot_signed(v1, trust_root=root)
+    expected_rows = reference_rows(devices[1].platform)
+    if not ota:
+        assert expected_rows == list(golden.expected_rows)
+    verifier = FleetVerifier(
+        devices, InProcessTransport(), {0: KEY, 1: SIBLING_KEY},
+        expected_rows,
+    )
+    platform = mutate(devices[0], golden)
+    device = devices[0]
+    if platform is not device.platform:
+        device = FleetDevice(0, platform, KEY)
+    with isolated_memo():
+        quote, _ = device.compute_quote(NONCE, 1)
+        untouched = reference_rows(platform) == expected_rows
+        assert quote == reference_mac(
+            KEY, quote_material(NONCE, 1, 0, reference_rows(platform))
+        )
+        assert checks(verifier, expected_rows, 0, 1, quote, KEY) == \
+            (untouched, untouched)
+        if changes:
+            assert not untouched
+
+        quote, _ = devices[1].compute_quote(NONCE, 1)
+        assert checks(verifier, expected_rows, 1, 1, quote,
+                      SIBLING_KEY) == (True, True)
+
+
+# ---------------------------------------------------------------------------
 # The memo itself: aliasing, the byte bound, the input contract.
 
 
@@ -498,6 +578,55 @@ def test_property_prefix_cache_equals_reference(macs, seeds, cut):
         assert clone.update(data[cut:]).digest() == reference_digest(data)
         assert original.update(b"other").digest() == \
             reference_digest(data[:cut] + b"other")
+
+
+#: Ways to hand ``mac`` a key or message: the ``bytearray`` or
+#: ``memoryview`` kinds wrap a buffer the test mutates afterwards.
+KINDS = ["bytes", "bytearray", "memoryview"]
+
+
+def wrapped(kind: str, raw: bytes):
+    """``raw`` as ``kind`` and the mutable buffer behind it, if any."""
+    if kind == "bytes":
+        return raw, None
+    source = bytearray(raw)
+    return (source if kind == "bytearray" else memoryview(source)), source
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(KEY_LENGTHS),
+            st.sampled_from(KINDS),
+            st.sampled_from(MESSAGE_LENGTHS),
+            st.sampled_from(KINDS),
+            st.integers(min_value=0, max_value=3),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_property_mac_equals_reference_after_mutation(macs):
+    """``mac`` over every kind of key and message, repeated and with
+    the source buffers mutated after each call, equals the 8-byte
+    ``update`` reference under a bound small enough to force clears."""
+    with isolated_memo(max_bytes=1536, max_prefixes=2):
+        for key_length, key_kind, message_length, message_kind, variant \
+                in macs:
+            raw_key = bytes(CYCLE[variant:variant + key_length])
+            raw_message = bytes(CYCLE[8 + variant:][:message_length])
+            key, key_source = wrapped(key_kind, raw_key)
+            message, message_source = wrapped(message_kind, raw_message)
+            assert mac(key, message) == reference_mac(raw_key, raw_message)
+            for source in (key_source, message_source):
+                if source:
+                    source[-1] ^= 0x01
+            assert mac(key, message) == \
+                reference_mac(bytes(key), bytes(message))
+            assert mac(raw_key, raw_message) == \
+                reference_mac(raw_key, raw_message)
+            assert memo_stats()["retained_bytes"] <= 1536
 
 
 def test_copies_never_change_the_cached_prefix():
