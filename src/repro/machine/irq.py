@@ -44,10 +44,16 @@ class InterruptController:
         self._pending: dict[int, Interrupt] = {}
 
     def raise_line(self, interrupt: Interrupt) -> None:
-        """Latch ``interrupt``; re-raising an already-pending line is idempotent."""
+        """Latch ``interrupt``; re-raising an already-pending line is
+        idempotent, except that an NMI replaces a maskable interrupt
+        latched on its line.  A masked line must not shadow an NMI on
+        its own line any more than on another one (see :meth:`pending`),
+        and a later maskable raise never replaces a latched NMI."""
         if not 0 <= interrupt.line < self.NUM_LINES:
             raise MachineError(f"IRQ line {interrupt.line} out of range")
-        self._pending.setdefault(interrupt.line, interrupt)
+        latched = self._pending.setdefault(interrupt.line, interrupt)
+        if interrupt.nmi and not latched.nmi:
+            self._pending[interrupt.line] = interrupt
 
     def pending(self, *, ie: bool = True) -> Interrupt | None:
         """Highest-priority deliverable interrupt, or ``None``.

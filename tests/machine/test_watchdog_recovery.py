@@ -40,8 +40,9 @@ class TestExpiryUnderStorm:
         assert pending.line == WATCHDOG_IRQ_LINE
         assert pending.nmi
 
-    def test_expiry_fires_amid_injected_storm(self, monkeypatch):
-        """The storm injector itself cannot mask the watchdog NMI."""
+    def test_expiry_fires_amid_injected_storm(self):
+        """A storm arrival latched on the watchdog's own line before
+        the dog expires must not swallow its NMI."""
         platform = TrustLitePlatform()
         platform.boot(build_attestation_image())
         storm = inject_irq_storm(
@@ -50,13 +51,64 @@ class TestExpiryUnderStorm:
         dog = platform.soc.watchdog
         dog.write(PERIOD, 4, 64)
         dog.write(CTRL, 4, CTRL_ENABLE)
-        platform.bus.tick(64)  # the dog expires first in this tick
-        for _ in range(20):  # storm keeps latching lines as time passes
-            platform.bus.tick(3)
-        assert storm["raised"] > 20
+        for _ in range(64):
+            platform.bus.tick(1)
+        assert storm["raised"] == 36
+        assert dog.fired == 1
         masked = platform.soc.irq.pending(ie=False)
-        assert masked is not None
-        assert masked.nmi and masked.line == WATCHDOG_IRQ_LINE
+        assert masked == Interrupt(
+            line=WATCHDOG_IRQ_LINE, source=dog.name, nmi=True
+        )
+
+    @pytest.mark.parametrize("mean_gap", [1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_expiry_survives_a_seeded_storm(self, mean_gap, seed):
+        """Whatever the storm latched first, the NMI is pending from the
+        expiry on and stays through the storm's later arrivals."""
+        platform = TrustLitePlatform()
+        platform.boot(build_attestation_image())
+        inject_irq_storm(
+            platform, FaultPlan(seed).rng("wdog-storm"), mean_gap=mean_gap
+        )
+        dog = platform.soc.watchdog
+        period = 16 + 7 * seed
+        dog.write(PERIOD, 4, period)
+        dog.write(CTRL, 4, CTRL_ENABLE)
+        irq = platform.soc.irq
+        for cycle in range(1, 3 * period):
+            platform.bus.tick(1)
+            masked = irq.pending(ie=False)
+            if cycle < period:
+                assert masked is None
+            else:
+                assert masked is not None and masked.nmi
+                assert masked.line == WATCHDOG_IRQ_LINE
+
+    def test_nmi_replaces_a_maskable_interrupt_on_its_line(self):
+        irq = InterruptController()
+        irq.raise_line(Interrupt(line=WATCHDOG_IRQ_LINE, source="storm"))
+        nmi = Interrupt(line=WATCHDOG_IRQ_LINE, source="watchdog", nmi=True)
+        irq.raise_line(nmi)
+        assert irq.pending(ie=False) == nmi
+        assert irq.pending() == nmi
+        assert len(irq) == 1
+
+    def test_maskable_raise_never_replaces_a_latched_nmi(self):
+        irq = InterruptController()
+        nmi = Interrupt(line=WATCHDOG_IRQ_LINE, source="watchdog", nmi=True)
+        irq.raise_line(nmi)
+        irq.raise_line(Interrupt(line=WATCHDOG_IRQ_LINE, source="storm"))
+        assert irq.pending(ie=False) == nmi
+        # Re-raising a latched line of the same kind keeps the first.
+        irq.raise_line(
+            Interrupt(line=WATCHDOG_IRQ_LINE, source="other", nmi=True)
+        )
+        assert irq.pending(ie=False) == nmi
+        irq.raise_line(Interrupt(line=2, source="timer"))
+        irq.raise_line(Interrupt(line=2, source="storm"))
+        assert irq.pending(ie=True) == nmi
+        irq.acknowledge(WATCHDOG_IRQ_LINE)
+        assert irq.pending() == Interrupt(line=2, source="timer")
 
 
 class TestStateRoundTrip:
