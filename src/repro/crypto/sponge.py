@@ -52,6 +52,18 @@ sponge's chunking invariance a copy fed the rest of the input digests
 exactly what one hasher fed the whole input does.  The cache holds at
 most :data:`PREFIX_MAX_ENTRIES` hashers and is emptied when full.
 
+Tag memo.  A verifier recomputes the MAC an untampered device has just
+computed over exactly the same bytes, in the same process, so
+:func:`keyed_digest` (the whole of ``mac()``) memoizes ``(prefix,
+message) -> digest``.  Its key is the input itself, as immutable
+``bytes``, and a digest is a pure function of it, so a hit returns
+exactly what a recompute would; only :func:`keyed_digest` writes an
+entry, from its own computation, so a verifier never adopts a device's
+tag.  A tampered device's material differs, so the verifier's lookup
+misses and it recomputes.  Each entry is charged its key bytes plus
+:data:`TAG_ENTRY_BYTES` against the same bound, and the three memos are
+emptied together.
+
 :func:`memo_stats` reports hits, misses and retained bytes of the
 memos and hits and misses of the prefix cache for the process.
 """
@@ -69,14 +81,19 @@ ROUNDS = 12
 #: code regions, containers and chunks pass it, quote and MAC material
 #: stays below.
 MEMO_MIN_BYTES = 256
-#: Bytes the absorb memo's keys and the finalization memo's entries
-#: may be charged, together, before both memos are emptied.
+#: Bytes the absorb memo's keys and the finalization and tag memos'
+#: entries may be charged, together, before all three are emptied.
 MEMO_MAX_BYTES = 256 * 1024
 #: What one finalization-memo entry is charged against
 #: :data:`MEMO_MAX_BYTES`: CPython spends about 170 bytes on its key
 #: tuple, tail, digest and dict slot, rounded up to the least an
 #: absorb entry is charged.
 FINAL_ENTRY_BYTES = 256
+#: What one tag-memo entry is charged on top of its key bytes:
+#: CPython spends about 152 bytes on its key tuple, the two ``bytes``
+#: headers, the digest and the dict slot (measured with
+#: ``tracemalloc``).
+TAG_ENTRY_BYTES = 160
 #: Prefix hashers :func:`prefixed` may keep before it is emptied: one
 #: per device key of a fleet well past the suite's.
 PREFIX_MAX_ENTRIES = 1024
@@ -123,18 +140,22 @@ _memo: dict[tuple[tuple, bytes], tuple] = {}
 _final: dict[tuple[tuple, bytes], bytes] = {}
 #: ``prefix -> hasher that absorbed it``; only ever copied.
 _prefixes: dict[bytes, SpongeHash] = {}
+#: ``(prefix, message) -> digest`` of :func:`keyed_digest`.
+_tags: dict[tuple[bytes, bytes], bytes] = {}
 _memo_counts = {
     "hits": 0, "misses": 0, "retained_bytes": 0,
     "final_hits": 0, "final_misses": 0,
     "prefix_hits": 0, "prefix_misses": 0,
+    "tag_hits": 0, "tag_misses": 0,
 }
 
 
 def memo_stats(since: dict | None = None) -> dict:
     """This process's sponge caches: absorb memo ``hits`` and
     ``misses``, finalization memo ``final_hits`` and ``final_misses``,
-    prefix cache ``prefix_hits`` and ``prefix_misses``, and the bytes
-    both memos are charged, ``retained_bytes``.  With ``since`` (an
+    prefix cache ``prefix_hits`` and ``prefix_misses``, tag memo
+    ``tag_hits`` and ``tag_misses``, and the bytes the three memos are
+    charged, ``retained_bytes``.  With ``since`` (an
     earlier result), hits and misses count only what happened after
     it."""
     stats = dict(_memo_counts)
@@ -146,12 +167,13 @@ def memo_stats(since: dict | None = None) -> dict:
 
 
 def _retain(size: int) -> None:
-    """Charge ``size`` bytes to the memos, emptying both first if they
-    would pass the bound."""
+    """Charge ``size`` bytes to the memos, emptying all three first if
+    they would pass the bound."""
     counts = _memo_counts
     if counts["retained_bytes"] + size > MEMO_MAX_BYTES:
         _memo.clear()
         _final.clear()
+        _tags.clear()
         counts["retained_bytes"] = 0
     counts["retained_bytes"] += size
 
@@ -215,6 +237,27 @@ def prefixed(prefix: bytes) -> SpongeHash:
     else:
         counts["prefix_hits"] += 1
     return hasher.copy()
+
+
+def keyed_digest(prefix: bytes, message: bytes) -> bytes:
+    """The digest of ``prefix`` (a ``bytes``) then ``message``, looked
+    up in or stored to the tag memo."""
+    # ``bytes + bytes-like`` is a ``bytes`` (``message`` itself if it
+    # is one): the key never aliases a caller's buffer.
+    message = b"" + message
+    key = (prefix, message)
+    digest = _tags.get(key)
+    counts = _memo_counts
+    if digest is not None:
+        counts["tag_hits"] += 1
+        return digest
+    digest = prefixed(prefix).update(message).digest()
+    size = len(prefix) + len(message) + TAG_ENTRY_BYTES
+    if size <= MEMO_MAX_BYTES:
+        _retain(size)
+        _tags[key] = digest
+    counts["tag_misses"] += 1
+    return digest
 
 
 class SpongeHash:

@@ -424,7 +424,11 @@ def verify_quote_batch(batch: QuoteCheckBatch) -> tuple[bool, ...]:
 
     Pure function of the batch: recomputes each device's expected
     quote (``MAC(key, nonce ‖ seq ‖ device_id ‖ expected_rows)``) and
-    compares in constant time.
+    compares in constant time.  The recomputation is served by the
+    process's tag memo (:func:`~repro.crypto.sponge.keyed_digest`)
+    when that process has just computed an untampered device's quote
+    over the same material; it never reads the received quote.  In a
+    pool process the memo is cold, so every check recomputes.
     """
     from repro.crypto import constant_time_equal, mac
     from repro.fleet.device import quote_material

@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.attestation import measure_code
 from repro.core.layout import TRUSTLET_TABLE_BASE
 from repro.core.trustlet_table import HEADER_SIZE, OFF_CODE_END
-from repro.crypto import mac, sponge
+from repro.crypto import constant_time_equal, mac, sponge
 from repro.crypto.sponge import (
     RATE,
     SpongeHash,
@@ -50,7 +50,6 @@ from repro.faults import (
     inject_irq_drops,
     inject_irq_storm,
 )
-from repro.crypto.mac import constant_time_equal
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.parallel import (
     QuoteCheckBatch,
@@ -90,9 +89,8 @@ def isolated_memo(max_bytes=sponge.MEMO_MAX_BYTES,
         _memo={},
         _final={},
         _prefixes={},
-        _memo_counts={"hits": 0, "misses": 0, "retained_bytes": 0,
-                      "final_hits": 0, "final_misses": 0,
-                      "prefix_hits": 0, "prefix_misses": 0},
+        _tags={},
+        _memo_counts=dict.fromkeys(sponge._memo_counts, 0),
         MEMO_MAX_BYTES=max_bytes,
         PREFIX_MAX_ENTRIES=max_prefixes,
     ):
@@ -300,16 +298,22 @@ def test_memo_hits_on_repeated_quotes(golden):
         device.compute_quote(bytes(8), 2)
         again = memo_stats(since=first)
     assert first["misses"] == len(regions(device.platform))
+    # A new sequence number is new MAC material: one more tag entry.
+    tag_entry = 4 + len(KEY) + len(
+        quote_material(bytes(8), 2, 0, reference_rows(device.platform))
+    ) + sponge.TAG_ENTRY_BYTES
     assert again == {"hits": first["misses"], "misses": 0,
-                     "retained_bytes": first["retained_bytes"],
+                     "retained_bytes": first["retained_bytes"] + tag_entry,
                      "final_hits": first["misses"], "final_misses": 0,
-                     "prefix_hits": 1, "prefix_misses": 0}
+                     "prefix_hits": 1, "prefix_misses": 0,
+                     "tag_hits": 0, "tag_misses": 1}
 
 
 # ---------------------------------------------------------------------------
 # The verifier's expected quote under every mutation path.
 
 SIBLING_KEY = device_key(0, 1)
+KEYS = {0: KEY, 1: SIBLING_KEY}
 NONCE = bytes(range(8))
 
 
@@ -321,28 +325,49 @@ def reference_rows(platform) -> list[tuple[int, bytes]]:
     ]
 
 
-def checks(verifier, expected_rows, device_id, seq, quote, key):
-    """The verdicts of both verifier paths on one quote: the fleet
-    verifier's ``expected_quote`` and the service's batch check."""
-    online = constant_time_equal(
-        quote, verifier.expected_quote(device_id, NONCE, seq)
-    )
-    batch = QuoteCheckBatch(
-        batch_index=0,
-        expected_rows=tuple(expected_rows),
-        items=((device_id, seq, NONCE, quote, key),),
-    )
-    return online, verify_quote_batch(batch) == (True,)
+def checks(verifier, expected_rows, device):
+    """Both verifier paths on ``device``'s quote: the fleet verifier's
+    ``expected_quote`` and the service's batch check.  Each starts
+    from empty caches warmed only by the device computing its own
+    quote, and yields ``(accepted, tag hits, tag misses)``."""
+    key = KEYS[device.device_id]
+
+    def online(quote):
+        return constant_time_equal(
+            quote, verifier.expected_quote(device.device_id, NONCE, 1)
+        )
+
+    def batch(quote):
+        return verify_quote_batch(QuoteCheckBatch(
+            batch_index=0,
+            expected_rows=tuple(expected_rows),
+            items=((device.device_id, 1, NONCE, quote, key),),
+        )) == (True,)
+
+    outcomes = []
+    for path in (online, batch):
+        with isolated_memo():
+            quote, _ = device.compute_quote(NONCE, 1)
+            assert quote == reference_mac(key, quote_material(
+                NONCE, 1, device.device_id,
+                reference_rows(device.platform),
+            ))
+            before = memo_stats()
+            accepted = path(quote)
+            tags = memo_stats(since=before)
+        outcomes.append((accepted, tags["tag_hits"], tags["tag_misses"]))
+    return outcomes
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_verifier_rejects_every_mutation(case, golden):
-    """Each device answers first, so its own quote is in the caches
+    """Each device answers first, so its own quote is in the tag memo
     before the verifier recomputes the expected one.  The verdict must
     be the memo-free one: a device whose measured code changed is
-    rejected on both paths, and an untouched sibling is accepted."""
+    rejected on both paths through a tag miss, never a hit, and an
+    untouched sibling is accepted through a hit."""
     mutate, changes, ota = CASES[case]
-    devices = hydrate_devices(golden.blob, {0: KEY, 1: SIBLING_KEY})
+    devices = hydrate_devices(golden.blob, KEYS)
     if ota:
         v1, _v2, root = signed()
         for device in devices.values():
@@ -351,27 +376,18 @@ def test_verifier_rejects_every_mutation(case, golden):
     if not ota:
         assert expected_rows == list(golden.expected_rows)
     verifier = FleetVerifier(
-        devices, InProcessTransport(), {0: KEY, 1: SIBLING_KEY},
-        expected_rows,
+        devices, InProcessTransport(), KEYS, expected_rows
     )
     platform = mutate(devices[0], golden)
     device = devices[0]
     if platform is not device.platform:
         device = FleetDevice(0, platform, KEY)
-    with isolated_memo():
-        quote, _ = device.compute_quote(NONCE, 1)
-        untouched = reference_rows(platform) == expected_rows
-        assert quote == reference_mac(
-            KEY, quote_material(NONCE, 1, 0, reference_rows(platform))
-        )
-        assert checks(verifier, expected_rows, 0, 1, quote, KEY) == \
-            (untouched, untouched)
-        if changes:
-            assert not untouched
-
-        quote, _ = devices[1].compute_quote(NONCE, 1)
-        assert checks(verifier, expected_rows, 1, 1, quote,
-                      SIBLING_KEY) == (True, True)
+    untouched = reference_rows(platform) == expected_rows
+    if changes:
+        assert not untouched
+    verdict = (True, 1, 0) if untouched else (False, 0, 1)
+    assert checks(verifier, expected_rows, device) == [verdict] * 2
+    assert checks(verifier, expected_rows, devices[1]) == [(True, 1, 0)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +410,8 @@ def test_mutating_the_source_in_place_changes_the_digest(wrap):
                                 "retained_bytes": 2 * (
                                     600 + sponge.FINAL_ENTRY_BYTES),
                                 "final_hits": 1, "final_misses": 2,
-                                "prefix_hits": 0, "prefix_misses": 0}
+                                "prefix_hits": 0, "prefix_misses": 0,
+                                "tag_hits": 0, "tag_misses": 0}
 
 
 def test_key_prefixed_messages_share_the_memo():
@@ -422,7 +439,8 @@ def test_below_threshold_and_oversized_inputs_skip_the_memo():
         assert memo_stats() == {"hits": 0, "misses": 0,
                                 "retained_bytes": 0,
                                 "final_hits": 0, "final_misses": 0,
-                                "prefix_hits": 0, "prefix_misses": 0}
+                                "prefix_hits": 0, "prefix_misses": 0,
+                                "tag_hits": 0, "tag_misses": 0}
 
 
 def test_bound_clears_instead_of_growing():
@@ -627,6 +645,26 @@ def test_property_mac_equals_reference_after_mutation(macs):
             assert mac(raw_key, raw_message) == \
                 reference_mac(raw_key, raw_message)
             assert memo_stats()["retained_bytes"] <= 1536
+
+
+def test_tag_memo_is_bounded_with_the_other_memos():
+    """A tag entry is charged its prefix and message bytes plus
+    TAG_ENTRY_BYTES; one that could never fit is computed but not
+    kept, and a clear empties all three memos."""
+    key = CYCLE[:12]
+    entry = 4 + len(key) + 40 + sponge.TAG_ENTRY_BYTES
+    with isolated_memo(max_bytes=2 * entry + 10):
+        for start in (0, 40, 0, 80):
+            message = CYCLE[start:start + 40]
+            assert mac(key, message) == reference_mac(key, message)
+        # The third MAC hit; the fourth cleared the first two.
+        assert (memo_stats()["tag_hits"], len(sponge._tags)) == (1, 1)
+        assert memo_stats()["retained_bytes"] == entry
+        big = CYCLE[:3 * entry]
+        for _ in range(2):
+            assert mac(key, big) == reference_mac(key, big)
+        assert big not in {message for _, message in sponge._tags}
+        assert memo_stats()["tag_misses"] == 5
 
 
 def test_copies_never_change_the_cached_prefix():

@@ -206,6 +206,7 @@ class TestShardedRuns:
         assert execution["sponge_memo"]["hits"] > 0
         assert execution["sponge_memo"]["final_hits"] > 0
         assert execution["sponge_memo"]["prefix_hits"] > 0
+        assert execution["sponge_memo"]["tag_hits"] > 0
         assert report["fleet"]["snapshot_blob_bytes"] > 0
         assert report["ok"] is True
         json.dumps(report)  # must serialize cleanly

@@ -89,9 +89,12 @@ class TestReportShape:
         memo = report["execution"]["sponge_memo"]
         assert set(memo) == {"hits", "misses", "retained_bytes",
                              "final_hits", "final_misses",
-                             "prefix_hits", "prefix_misses"}
+                             "prefix_hits", "prefix_misses",
+                             "tag_hits", "tag_misses"}
         assert memo["hits"] > 0
         assert memo["final_hits"] > 0 and memo["prefix_hits"] > 0
+        # The batch check recomputes the tags devices just computed.
+        assert memo["tag_hits"] > 0
         json.dumps(report)  # must serialize cleanly
 
     def test_verdict_flags_the_compromised_device(self, baseline_report):
