@@ -57,12 +57,12 @@ computed over exactly the same bytes, in the same process, so
 :func:`keyed_digest` (the whole of ``mac()``) memoizes ``(prefix,
 message) -> digest``.  Its key is the input itself, as immutable
 ``bytes``, and a digest is a pure function of it, so a hit returns
-exactly what a recompute would; only :func:`keyed_digest` writes an
-entry, from its own computation, so a verifier never adopts a device's
-tag.  A tampered device's material differs, so the verifier's lookup
-misses and it recomputes.  Each entry is charged its key bytes plus
-:data:`TAG_ENTRY_BYTES` against the same bound, and the three memos are
-emptied together.
+exactly what a recompute would.  Only :func:`keyed_digest` writes an
+entry, from its own computation, so what a verifier finds is never a
+tag it received.  A tampered device's material differs, so the
+verifier's lookup misses and it recomputes.  Each entry is charged its
+key bytes plus :data:`TAG_ENTRY_BYTES` against the same bound, and the
+three memos are emptied together.
 
 :func:`memo_stats` reports hits, misses and retained bytes of the
 memos and hits and misses of the prefix cache for the process.
@@ -155,9 +155,8 @@ def memo_stats(since: dict | None = None) -> dict:
     ``misses``, finalization memo ``final_hits`` and ``final_misses``,
     prefix cache ``prefix_hits`` and ``prefix_misses``, tag memo
     ``tag_hits`` and ``tag_misses``, and the bytes the three memos are
-    charged, ``retained_bytes``.  With ``since`` (an
-    earlier result), hits and misses count only what happened after
-    it."""
+    charged, ``retained_bytes``.  With ``since`` (an earlier result),
+    hits and misses count only what happened after it."""
     stats = dict(_memo_counts)
     if since is not None:
         for name in stats:
