@@ -9,6 +9,6 @@ code and data regions where the Secure Loader expects them (Sec. 5.1).
 """
 
 from repro.asm.program import Program
-from repro.asm.assembler import assemble
+from repro.asm.assembler import assemble, pass1
 
-__all__ = ["Program", "assemble"]
+__all__ = ["Program", "assemble", "pass1"]

@@ -31,15 +31,28 @@ from repro.asm.program import Program
 from repro.errors import AssemblerError
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FORMATS, Fmt, Op
+from repro.isa.opcodes import EXTENDED_FORMATS, FORMATS, Fmt, Op
 from repro.isa.registers import Reg
 
 _OP_BY_NAME = {op.name.lower(): op for op in Op}
+
+# Encoded size of each mnemonic: pass 1 needs nothing else from it.
+_SIZE_BY_NAME = {
+    name: 8 if FORMATS[op] in EXTENDED_FORMATS else 4
+    for name, op in _OP_BY_NAME.items()
+}
 
 _ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", '"': '"', "r": "\r"}
 
 
 def _strip_comment(line: str) -> str:
+    """Drop a trailing ``;`` comment that is not inside a string."""
+    if '"' not in line:
+        return line.partition(";")[0]
+    return _strip_comment_scan(line)
+
+
+def _strip_comment_scan(line: str) -> str:
     in_string = False
     for index, char in enumerate(line):
         if char == '"' and (index == 0 or line[index - 1] != "\\"):
@@ -75,6 +88,15 @@ def _parse_string(text: str, lineno: int) -> bytes:
 
 def _split_operands(text: str) -> list[str]:
     """Split on commas that are not inside brackets or quotes."""
+    if '"' not in text and "[" not in text and "]" not in text:
+        parts = [part.strip() for part in text.split(",")]
+        if not parts[-1]:
+            parts.pop()
+        return parts
+    return _split_operands_scan(text)
+
+
+def _split_operands_scan(text: str) -> list[str]:
     parts: list[str] = []
     depth = 0
     in_string = False
@@ -102,8 +124,8 @@ class _Evaluator:
     """Evaluates integer expressions over labels and .equ constants."""
 
     def __init__(self, symbols: dict[str, int], constants: dict[str, int]):
-        self._symbols = symbols
-        self._constants = constants
+        self.symbols = symbols
+        self.constants = constants
 
     def atom(self, token: str, lineno: int) -> int:
         token = token.strip()
@@ -117,10 +139,10 @@ class _Evaluator:
             return int(token, 0)
         except ValueError:
             pass
-        if token in self._constants:
-            return self._constants[token]
-        if token in self._symbols:
-            return self._symbols[token]
+        if token in self.constants:
+            return self.constants[token]
+        if token in self.symbols:
+            return self.symbols[token]
         raise AssemblerError(f"line {lineno}: unknown symbol {token!r}")
 
     def evaluate(self, text: str, lineno: int) -> int:
@@ -173,13 +195,9 @@ def _parse_mem_operand(text: str, lineno: int) -> tuple[str, str]:
     return inner, "0"
 
 
-def assemble(source: str, base: int = 0) -> Program:
-    """Assemble ``source`` into a :class:`Program` at address ``base``."""
-    constants: dict[str, int] = {}
-    symbols: dict[str, int] = {}
+def _parse(source: str) -> list[_Statement]:
+    """Split ``source`` into label, directive and instruction statements."""
     statements: list[_Statement] = []
-
-    # ---- parse ------------------------------------------------------
     for lineno, raw_line in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
         while line:
@@ -204,10 +222,14 @@ def assemble(source: str, base: int = 0) -> Program:
             statements.append(
                 _Statement(lineno, "instr", (mnemonic.lower(), rest.strip()))
             )
+    return statements
 
-    evaluator = _Evaluator(symbols, constants)
 
-    # ---- pass 1: sizes and symbol addresses -------------------------
+def _pass1(
+    statements: list[_Statement], base: int, evaluator: _Evaluator
+) -> int:
+    """Size every statement and bind every label; return the end address."""
+    symbols = evaluator.symbols
     cursor = base
     for stmt in statements:
         stmt.address = cursor
@@ -217,12 +239,25 @@ def assemble(source: str, base: int = 0) -> Program:
                     f"line {stmt.lineno}: duplicate label {stmt.payload!r}"
                 )
             symbols[stmt.payload] = cursor
+        elif stmt.kind == "instr":
+            mnemonic = stmt.payload[0]
+            if mnemonic not in _SIZE_BY_NAME:
+                raise AssemblerError(
+                    f"line {stmt.lineno}: unknown mnemonic {mnemonic!r}"
+                )
+            stmt.size = _SIZE_BY_NAME[mnemonic]
+            if cursor % 4 != 0:
+                raise AssemblerError(
+                    f"line {stmt.lineno}: instruction at unaligned "
+                    f"address {cursor:#x}"
+                )
+            cursor += stmt.size
         elif stmt.kind == ".equ":
             name, _, expr = stmt.payload.partition(",")
             name = name.strip()
             if not name:
                 raise AssemblerError(f"line {stmt.lineno}: .equ needs a name")
-            constants[name] = evaluator.evaluate(expr, stmt.lineno)
+            evaluator.constants[name] = evaluator.evaluate(expr, stmt.lineno)
         elif stmt.kind == ".org":
             target = evaluator.evaluate(stmt.payload, stmt.lineno)
             if target < cursor:
@@ -254,28 +289,17 @@ def assemble(source: str, base: int = 0) -> Program:
         elif stmt.kind == ".ascii":
             stmt.size = len(_parse_string(stmt.payload, stmt.lineno))
             cursor += stmt.size
-        elif stmt.kind == "instr":
-            mnemonic = stmt.payload[0]
-            if mnemonic not in _OP_BY_NAME:
-                raise AssemblerError(
-                    f"line {stmt.lineno}: unknown mnemonic {mnemonic!r}"
-                )
-            op = _OP_BY_NAME[mnemonic]
-            stmt.size = 8 if FORMATS[op] in (
-                Fmt.RD_IMM32, Fmt.RD_RS1_IMM32, Fmt.RS1_IMM32, Fmt.IMM32
-            ) else 4
-            if cursor % 4 != 0:
-                raise AssemblerError(
-                    f"line {stmt.lineno}: instruction at unaligned "
-                    f"address {cursor:#x}"
-                )
-            cursor += stmt.size
         else:
             raise AssemblerError(
                 f"line {stmt.lineno}: unknown directive {stmt.kind!r}"
             )
+    return cursor
 
-    # ---- pass 2: emit ------------------------------------------------
+
+def _pass2(
+    statements: list[_Statement], base: int, evaluator: _Evaluator
+) -> bytes:
+    """Emit the bytes of statements that :func:`_pass1` has placed."""
     blob = bytearray()
 
     def emit_word(value: int) -> None:
@@ -287,19 +311,40 @@ def assemble(source: str, base: int = 0) -> Program:
         )
         if stmt.kind in ("label", ".equ"):
             continue
-        if stmt.kind in (".org", ".align", ".space"):
+        if stmt.kind == "instr":
+            for word in encode(_build_instruction(stmt, evaluator)):
+                emit_word(word)
+        elif stmt.kind in (".org", ".align", ".space"):
             blob.extend(b"\x00" * stmt.size)
         elif stmt.kind == ".word":
             for term in _split_operands(stmt.payload):
                 emit_word(evaluator.evaluate(term, stmt.lineno))
         elif stmt.kind == ".ascii":
             blob.extend(_parse_string(stmt.payload, stmt.lineno))
-        elif stmt.kind == "instr":
-            instr = _build_instruction(stmt, evaluator)
-            for word in encode(instr):
-                emit_word(word)
+    return bytes(blob)
 
-    return Program(base=base, data=bytes(blob), symbols=dict(symbols))
+
+def pass1(source: str, base: int = 0) -> tuple[int, dict[str, int]]:
+    """Size ``source`` at ``base`` without emitting it.
+
+    Returns the program's size in bytes and its label addresses: what
+    :func:`assemble` would report as ``Program.size`` and
+    ``Program.symbols``.  Every fault pass 1 can find raises the same
+    :class:`AssemblerError`; operand and expression faults that only
+    pass 2 evaluates are not checked.
+    """
+    evaluator = _Evaluator({}, {})
+    end = _pass1(_parse(source), base, evaluator)
+    return end - base, evaluator.symbols
+
+
+def assemble(source: str, base: int = 0) -> Program:
+    """Assemble ``source`` into a :class:`Program` at address ``base``."""
+    statements = _parse(source)
+    evaluator = _Evaluator({}, {})
+    _pass1(statements, base, evaluator)
+    data = _pass2(statements, base, evaluator)
+    return Program(base=base, data=data, symbols=dict(evaluator.symbols))
 
 
 def _build_instruction(stmt: _Statement, evaluator: _Evaluator) -> Instruction:

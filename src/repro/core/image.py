@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.asm import assemble
+from repro.asm import assemble, pass1
 from repro.core import layout
 from repro.core.trustlet_table import HEADER_SIZE, ROW_SIZE
 from repro.errors import ImageError
@@ -231,8 +231,11 @@ class ImageBuilder:
         if not self._modules:
             raise ImageError("image contains no modules")
 
-        # Size pass: assemble each source against a dummy layout; SP32
-        # instructions are fixed-width, so sizes are layout-independent.
+        # Size pass: run only the assembler's pass 1 on each source,
+        # generated against a dummy layout.  Every SP32 mnemonic has one
+        # encoded size, so a module's size does not depend on the
+        # addresses the layout bakes in; operands are first encoded
+        # (and checked) by the final pass below.
         dummy_shared = {
             req.label: (0, 0)
             for module in self._modules
@@ -247,12 +250,12 @@ class ImageBuilder:
                 stack_end=0, sp_slot=0, shared=dict(dummy_shared),
                 peers=dict(dummy_peers),
             )
-            probe = assemble(module.source(dummy), base=0)
-            if "main" not in probe.symbols:
+            size, symbols = pass1(module.source(dummy), base=0)
+            if "main" not in symbols:
                 raise ImageError(
                     f"module {module.name!r} must define a 'main' label"
                 )
-            code_sizes.append((probe.size + 3) & ~3)
+            code_sizes.append((size + 3) & ~3)
 
         # Layout pass: PROM records back to back, SRAM regions upward.
         prom_cursor = self._prom_directory + 8

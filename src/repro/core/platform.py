@@ -65,6 +65,8 @@ class TrustLitePlatform:
         checked_dma: bool = True,
         fastpath: bool = True,
     ) -> None:
+        self.mpu = EaMpu(num_regions=num_mpu_regions)
+        self.mpu_frontend = MpuMmioFrontend(self.mpu)
         # ``fastpath=False`` selects the uncached reference engine; it
         # is not part of the snapshot-compatibility config — both
         # engines are architecturally identical.
@@ -72,10 +74,8 @@ class TrustLitePlatform:
             flash_prom=flash_prom,
             with_dma=with_dma,
             fastpath=fastpath,
+            extra_windows=((MPU_MMIO_BASE, self.mpu_frontend),),
         )
-        self.mpu = EaMpu(num_regions=num_mpu_regions)
-        self.mpu_frontend = MpuMmioFrontend(self.mpu)
-        self.soc.bus.attach(MPU_MMIO_BASE, self.mpu_frontend)
         self.table = TrustletTable(
             self.soc.bus, layout.TRUSTLET_TABLE_BASE, table_capacity
         )

@@ -192,8 +192,9 @@ def _memo_absorb(state: tuple, blocks: bytes) -> tuple:
     return after
 
 
-def _finalize(state: tuple, tail: bytes) -> bytes:
-    """Pad ``tail``, absorb it into ``state`` and squeeze 16 bytes."""
+def _finalize(state: tuple, tail: bytes, size: int = DIGEST_SIZE) -> bytes:
+    """Pad ``tail``, absorb it into ``state`` and squeeze 16 bytes, or
+    only the first :data:`RATE` if ``size`` needs no more."""
     if len(tail) == RATE - 1:
         block = tail + b"\x81"
     else:
@@ -201,6 +202,8 @@ def _finalize(state: tuple, tail: bytes) -> bytes:
     # Squeeze (s0, s1) twice, one permutation apart; nothing reads the
     # state after the second, so it is not permuted.
     first = _absorb(state, struct.iter_unpack("<2I", block))
+    if size <= RATE:
+        return struct.pack("<2I", first[0] & _MASK, first[1] & _MASK)
     second = _absorb(first, ((0, 0),))
     words = (first[0], first[1], second[0], second[1])
     return struct.pack("<4I", *(w & _MASK for w in words))
@@ -296,14 +299,24 @@ class SpongeHash:
         clone.__dict__.update(self.__dict__)
         return clone
 
-    def digest(self) -> bytes:
-        """Finalize (idempotent) and return the 16-byte digest."""
-        if self._finalized is None:
+    def digest(self, size: int = DIGEST_SIZE) -> bytes:
+        """Finalize (idempotent) and return the first ``size`` bytes of
+        the 16-byte digest.
+
+        Up to :data:`RATE` bytes come from the first squeeze alone, so
+        a short read skips the second permutation; the finalization
+        memo still stores only full digests.
+        """
+        if not 0 <= size <= DIGEST_SIZE:
+            raise ValueError(f"digest size must be 0..{DIGEST_SIZE}: {size}")
+        finalized = self._finalized
+        if finalized is None or len(finalized) < size:
             if self._memoized:
-                self._finalized = _memo_finalize(self._state, self._buffer)
+                finalized = _memo_finalize(self._state, self._buffer)
             else:
-                self._finalized = _finalize(self._state, self._buffer)
-        return self._finalized
+                finalized = _finalize(self._state, self._buffer, size)
+            self._finalized = finalized
+        return finalized[:size]
 
     def hexdigest(self) -> str:
         return self.digest().hex()

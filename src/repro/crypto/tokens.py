@@ -39,7 +39,7 @@ class NonceSource:
         ``H(seed || counter)``."""
         self._counter += 1
         counter = self._counter.to_bytes(8, "little")
-        return self._base.copy().update(counter).digest()[:NONCE_SIZE]
+        return self._base.copy().update(counter).digest(NONCE_SIZE)
 
 
 def session_token(

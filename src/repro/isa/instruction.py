@@ -9,6 +9,24 @@ from repro.isa.opcodes import FORMATS, Fmt, Op
 from repro.isa.registers import Reg
 
 
+# Per format: (needs rd, needs rs1, needs rs2, immediate is 12-bit).
+_OPERANDS = {
+    Fmt.NONE: (False, False, False, False),
+    Fmt.RD_RS1_RS2: (True, True, True, False),
+    Fmt.RD_RS1: (True, True, False, False),
+    Fmt.RD_IMM32: (True, False, False, False),
+    Fmt.RD_RS1_IMM32: (True, True, False, False),
+    Fmt.RS1_RS2: (False, True, True, False),
+    Fmt.RS1_IMM32: (False, True, False, False),
+    Fmt.MEM_LOAD: (True, True, False, True),
+    Fmt.MEM_STORE: (False, True, True, True),
+    Fmt.IMM32: (False, False, False, False),
+    Fmt.RS1: (False, True, False, False),
+    Fmt.RD: (True, False, False, False),
+    Fmt.IMM12: (False, False, False, True),
+}
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One decoded SP32 instruction.
@@ -35,16 +53,7 @@ class Instruction:
 
     def validate(self) -> None:
         """Raise :class:`IsaError` if operands do not match the format."""
-        fmt = self.fmt
-        need_rd = fmt in (
-            Fmt.RD_RS1_RS2, Fmt.RD_RS1, Fmt.RD_IMM32, Fmt.RD_RS1_IMM32,
-            Fmt.MEM_LOAD, Fmt.RD,
-        )
-        need_rs1 = fmt in (
-            Fmt.RD_RS1_RS2, Fmt.RD_RS1, Fmt.RD_RS1_IMM32, Fmt.RS1_RS2,
-            Fmt.RS1_IMM32, Fmt.MEM_LOAD, Fmt.MEM_STORE, Fmt.RS1,
-        )
-        need_rs2 = fmt in (Fmt.RD_RS1_RS2, Fmt.RS1_RS2, Fmt.MEM_STORE)
+        need_rd, need_rs1, need_rs2, imm12 = _OPERANDS[FORMATS[self.op]]
         if need_rd and self.rd is None:
             raise IsaError(f"{self.op.name} requires rd")
         if need_rs1 and self.rs1 is None:
@@ -57,11 +66,10 @@ class Instruction:
             raise IsaError(f"{self.op.name} does not take rs1")
         if not need_rs2 and self.rs2 is not None:
             raise IsaError(f"{self.op.name} does not take rs2")
-        if fmt is Fmt.IMM12 or fmt in (Fmt.MEM_LOAD, Fmt.MEM_STORE):
-            if not -2048 <= self.imm <= 4095:
-                raise IsaError(
-                    f"{self.op.name} immediate {self.imm} exceeds 12 bits"
-                )
+        if imm12 and not -2048 <= self.imm <= 4095:
+            raise IsaError(
+                f"{self.op.name} immediate {self.imm} exceeds 12 bits"
+            )
 
     def __str__(self) -> str:
         fmt = self.fmt

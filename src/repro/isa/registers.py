@@ -49,11 +49,12 @@ class Reg(enum.IntEnum):
     @classmethod
     def parse(cls, name: str) -> "Reg":
         """Resolve an assembler register name (``r4``, ``sp``, ``lr``)."""
+        reg = _CANONICAL.get(name)
+        if reg is not None:
+            return reg
         text = name.strip().lower()
-        aliases = {"lr": cls.LR, "fp": cls.FP, "sp": cls.SP, "r13": cls.LR,
-                   "r14": cls.FP, "r15": cls.SP}
-        if text in aliases:
-            return aliases[text]
+        if text in _CANONICAL:
+            return _CANONICAL[text]
         if text.startswith("r") and text[1:].isdigit():
             index = int(text[1:])
             if 0 <= index < NUM_REGS:
@@ -70,6 +71,12 @@ class Reg(enum.IntEnum):
         if self is Reg.SP:
             return "sp"
         return f"r{int(self)}"
+
+
+# Every lower-case spelling the assembler emits or accepts verbatim,
+# so :meth:`Reg.parse` resolves the common case with one lookup.
+_CANONICAL = {f"r{int(reg)}": reg for reg in Reg}
+_CANONICAL.update({reg.asm_name: reg for reg in Reg})
 
 
 def to_u32(value: int) -> int:

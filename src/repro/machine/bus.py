@@ -29,12 +29,13 @@ hook on every memory window; the memory fires it whenever it replaces
 its array or changes contents, and the bus then refreshes both views
 of that window and, for a non-empty range, translates the offset to a
 physical address and fires the write listeners.  Topology listeners
-fire when a new window is attached.
+fire once per :meth:`Bus.attach_all` batch of new windows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -64,7 +65,7 @@ class Bus:
 
     def __init__(self) -> None:
         self._mappings: list[Mapping] = []
-        # Parallel routing arrays, rebuilt on attach: sorted window
+        # Parallel routing arrays, rebuilt per attach batch: sorted window
         # bases/ends, the device per window, and — for windows backed
         # by an unmodified Ram-family memory — its contents (the read
         # view) and, once the memory owns a private bytearray of the
@@ -89,23 +90,40 @@ class Bus:
 
     def attach(self, base: int, device: Device) -> Mapping:
         """Map ``device`` at ``base``; windows must not overlap."""
-        if base < 0 or base + device.size > 0x1_0000_0000:
-            raise BusError(
-                f"device {device.name!r} at {base:#x} exceeds 32-bit space"
-            )
-        new = Mapping(base, device)
-        for existing in self._mappings:
-            if new.base < existing.end and existing.base < new.end:
+        return self.attach_all(((base, device),))[0]
+
+    def attach_all(
+        self, windows: Iterable[tuple[int, Device]]
+    ) -> list[Mapping]:
+        """Map every ``(base, device)`` of ``windows``, in order, with one
+        routing rebuild and one round of topology listeners.
+
+        Each window is checked against the mapped ones and those before
+        it in the batch, with :meth:`attach`'s errors; a faulting batch
+        maps nothing.
+        """
+        mappings = list(self._mappings)
+        added: list[Mapping] = []
+        for base, device in windows:
+            if base < 0 or base + device.size > 0x1_0000_0000:
                 raise BusError(
-                    f"mapping for {device.name!r} at {base:#x} overlaps "
-                    f"{existing.device.name!r} at {existing.base:#x}"
+                    f"device {device.name!r} at {base:#x} exceeds 32-bit space"
                 )
-        self._mappings.append(new)
-        self._mappings.sort(key=lambda m: m.base)
+            new = Mapping(base, device)
+            for existing in mappings:
+                if new.base < existing.end and existing.base < new.end:
+                    raise BusError(
+                        f"mapping for {device.name!r} at {base:#x} overlaps "
+                        f"{existing.device.name!r} at {existing.base:#x}"
+                    )
+            mappings.append(new)
+            mappings.sort(key=lambda m: m.base)
+            added.append(new)
+        self._mappings = mappings
         self._rebuild_routing()
         for listener in self._topology_listeners:
             listener()
-        return new
+        return added
 
     def _rebuild_routing(self) -> None:
         self._bases = [m.base for m in self._mappings]
@@ -155,7 +173,7 @@ class Bus:
             self._write_listeners.append(listener)
 
     def add_topology_listener(self, listener) -> None:
-        """``listener()`` after every new window attach."""
+        """``listener()`` after every batch of new windows."""
         if listener not in self._topology_listeners:
             self._topology_listeners.append(listener)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.machine.bus import Bus
 from repro.machine.cpu import Cpu
+from repro.machine.device import Device
 from repro.machine.devices.crypto_engine import CryptoEngine
 from repro.machine.devices.timer import Timer
 from repro.machine.devices.uart import Uart
@@ -58,6 +59,7 @@ class SoC:
         flash_prom: bool = False,
         with_dma: bool = False,
         fastpath: bool = True,
+        extra_windows: tuple[tuple[int, Device], ...] = (),
     ) -> None:
         self.bus = Bus()
         self.irq = InterruptController()
@@ -74,19 +76,24 @@ class SoC:
         self.watchdog = Watchdog(self.irq, line=WATCHDOG_IRQ_LINE)
         self.uart = Uart()
         self.crypto = CryptoEngine()
-        self.bus.attach(PROM_BASE, self.prom)
-        self.bus.attach(WATCHDOG_BASE, self.watchdog)
-        self.bus.attach(TIMER_BASE, self.timer)
-        self.bus.attach(UART_BASE, self.uart)
-        self.bus.attach(CRYPTO_BASE, self.crypto)
-        self.bus.attach(SRAM_BASE, self.sram)
-        self.bus.attach(DRAM_BASE, self.dram)
+        windows = [
+            (PROM_BASE, self.prom),
+            (WATCHDOG_BASE, self.watchdog),
+            (TIMER_BASE, self.timer),
+            (UART_BASE, self.uart),
+            (CRYPTO_BASE, self.crypto),
+            (SRAM_BASE, self.sram),
+            (DRAM_BASE, self.dram),
+        ]
         self.dma = None
         if with_dma:
             from repro.machine.devices.dma import DmaController
 
             self.dma = DmaController(self.bus)
-            self.bus.attach(DMA_BASE, self.dma)
+            windows.append((DMA_BASE, self.dma))
+        # One routing rebuild for the whole memory map, including the
+        # caller's extra windows (the platform's MPU register window).
+        self.bus.attach_all(windows + list(extra_windows))
         self.cpu = Cpu(
             self.bus,
             self.irq,

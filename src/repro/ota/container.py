@@ -28,7 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 
-from repro.crypto import DIGEST_SIZE, constant_time_equal, mac, sponge_hash
+from repro.crypto import (
+    DIGEST_SIZE,
+    SpongeHash,
+    constant_time_equal,
+    mac,
+    sponge_hash,
+)
 from repro.errors import ContainerError, RollbackError, SignatureError
 from repro.varint import VarintReader, write_uvarint
 
@@ -324,7 +330,8 @@ def key_fingerprint(key: bytes) -> bytes:
     """Public identifier of an update signing key."""
     if not key:
         raise ContainerError("empty signing key")
-    return sponge_hash(b"tlfw-key:" + bytes(key))[:KEY_ID_SIZE]
+    hasher = SpongeHash().update(b"tlfw-key:" + bytes(key))
+    return hasher.digest(KEY_ID_SIZE)
 
 
 def build_container(
