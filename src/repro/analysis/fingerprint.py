@@ -1,4 +1,4 @@
-"""Canonical, byte-deterministic CFG fingerprints (ROADMAP item 5c).
+"""Canonical, byte-deterministic CFG fingerprints.
 
 A trustlet's code *bytes* are already measured by the Secure Loader;
 the fingerprint measures its *shape*: basic blocks, typed edges, and

@@ -5,23 +5,24 @@ sponge hashes (no length-extension issue), so the MAC is simply
 ``H(len(key) || key || message)``.  Used by the SMART baseline's
 attestation routine and the remote-attestation trustlet model.  The
 keyed prefix is absorbed once per key and process
-(:func:`~repro.crypto.sponge.prefixed`), and each tag is kept per
-process keyed on the exact ``(prefix, message)`` bytes
-(:func:`~repro.crypto.sponge.keyed_digest`), so a verifier recomputing
-the tag an untampered device has just computed finds it without
-permuting; every tag is the same as absorbing all of it per call.
+(:func:`~repro.crypto.sponge.prefixed`), and every tag enters the
+sponge's digest memo, so a verifier recomputing the tag an untampered
+device has just computed finds it
+(:func:`~repro.crypto.sponge.memoized_tag`) without permuting or
+copying; every tag is the same as absorbing all of it per call.
 """
 
 from __future__ import annotations
 
-from repro.crypto.sponge import keyed_digest
+from repro.crypto.sponge import memoized_tag, prefixed
 
 
 def mac(key: bytes, message: bytes) -> bytes:
     """128-bit authentication tag over ``message`` under ``key``."""
-    # ``bytes + bytes-like`` is a new ``bytes``: the cache key never
-    # aliases a caller's buffer.
-    return keyed_digest(len(key).to_bytes(4, "little") + key, message)
+    # ``bytes + bytes-like`` is a ``bytes`` (``key`` itself if it is
+    # one): a cache key never aliases a caller's buffer.
+    return memoized_tag(key, message) or \
+        prefixed(b"" + key).update(message).digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -13,59 +13,50 @@ as lanes in bits 0-31 and 64-95: A=(s0,s4) B=(s1,s5) C=(s2,s6) D=(s3,s7).
 Carries land in guard bits that the mask clears before a right shift can
 reach them; swapping B's and D's lanes turns columns into diagonals.
 
-Absorb memo.  Attestation re-measures the same code on every quote and
+Digest memo.  Attestation re-measures the same code on every quote,
 the Secure Loader and OTA path hash the same modules, containers and
-chunks on every device, so ``update`` memoizes its absorb per process:
-a call with at least :data:`MEMO_MIN_BYTES` bytes of full blocks looks
-up ``(state before, those bytes)`` and on a hit adopts the stored state
-after.  It stays coherent without ever being invalidated:
+chunks on every device, and a verifier recomputes the MAC an
+untampered device has just computed over the same bytes.  So a hasher
+keeps such an input unabsorbed, and ``digest()`` looks up ``(state,
+unabsorbed bytes)`` in one per-process memo of 16-byte digests.  It
+stays coherent without ever being invalidated:
 
-* ``_absorb`` is a pure function of (state, blocks), and the key holds
-  both;
-* the key's bytes are an immutable ``bytes`` copy, never a view of the
+* a digest is a pure function of the state and the bytes still to
+  absorb, and the key holds both;
+* the key's bytes are an immutable ``bytes``, never a view of the
   caller's buffer, so mutating a ``bytearray`` or ``memoryview`` source
   afterwards cannot change a stored key;
-* measurements still read live memory through ``bus.read_bytes``, so a
-  tampered, fault-flipped or OTA-written region yields different key
-  bytes and misses.
+* only ``digest()`` writes an entry, from its own computation, so what
+  a verifier finds is never a quote it received;
+* measurements read live memory through ``bus.read_bytes``, so a
+  tampered, fault-flipped or OTA-written region, like a tampered
+  device's MAC material, gives other key bytes and misses.
 
-The memo is bounded by the key bytes it retains and emptied whenever
-the next entry would pass :data:`MEMO_MAX_BYTES`.
-
-Finalization memo.  A re-measured region also pads and squeezes the
-same state and tail on every quote, so ``digest()`` memoizes its two
-permutations as ``(state, tail bytes) -> digest``.  It is consulted
-only by a hash whose state came out of the absorb memo (its last
-absorb took the memo path), so the one-off digests of MACs and nonces
-over short inputs never enter it.  Its coherence is the absorb memo's:
-finalization is a pure function of the key, the state is an immutable
-tuple and the tail an immutable ``bytes``.  A tail is at most seven
-bytes, so each entry is charged a fixed :data:`FINAL_ENTRY_BYTES`
-against the same bound rather than its key bytes, and the two memos
-are emptied together.
+A plain hasher keeps its input unabsorbed once at least
+:data:`MEMO_MIN_BYTES` of it are (code regions, containers, chunks);
+it absorbs anything shorter at once, so nonces and key fingerprints
+never enter.  A keyed hasher from :func:`prefixed` keeps what follows
+its prefix at any size and counts its lookups as ``tag_hits`` and
+``tag_misses``.  An input past :data:`MEMO_MAX_BYTES` is absorbed as
+it arrives, so it never enters whole.  Each entry is charged its input
+bytes plus :data:`MEMO_ENTRY_BYTES`, and the memo is emptied whenever
+the next entry would pass :data:`MEMO_MAX_BYTES`.  A short
+``digest(size)`` reads the head of the stored full digest.
 
 Prefix cache.  A MAC absorbs its key's ``len || key`` prefix before
-anything that varies.  :func:`prefixed` keeps one hasher per prefix
-that has absorbed it and hands out only fresh :meth:`SpongeHash.copy`
-copies, so no caller can advance or finalize the cached one.  By the
-sponge's chunking invariance a copy fed the rest of the input digests
-exactly what one hasher fed the whole input does.  The cache holds at
-most :data:`PREFIX_MAX_ENTRIES` hashers and is emptied when full.
+anything that varies.  :func:`prefixed` keeps one keyed hasher per key
+and hands out only fresh :meth:`SpongeHash.copy` copies, so no caller
+can advance or finalize the cached one.  A hasher absorbs what it kept
+unabsorbed when it is copied, so its copies (these, and a
+``NonceSource``'s) share that work; by the sponge's chunking
+invariance a copy fed the rest of the input digests exactly what one
+hasher fed the whole input does.  :func:`memoized_tag` looks a MAC up
+from the cached hasher's state before anything is copied.  The cache
+holds at most :data:`PREFIX_MAX_ENTRIES` hashers and is emptied when
+full.
 
-Tag memo.  A verifier recomputes the MAC an untampered device has just
-computed over exactly the same bytes, in the same process, so
-:func:`keyed_digest` (the whole of ``mac()``) memoizes ``(prefix,
-message) -> digest``.  Its key is the input itself, as immutable
-``bytes``, and a digest is a pure function of it, so a hit returns
-exactly what a recompute would.  Only :func:`keyed_digest` writes an
-entry, from its own computation, so what a verifier finds is never a
-tag it received.  A tampered device's material differs, so the
-verifier's lookup misses and it recomputes.  Each entry is charged its
-key bytes plus :data:`TAG_ENTRY_BYTES` against the same bound, and the
-three memos are emptied together.
-
-:func:`memo_stats` reports hits, misses and retained bytes of the
-memos and hits and misses of the prefix cache for the process.
+:func:`memo_stats` reports hits, misses and retained bytes of the memo
+and hits and misses of the prefix cache for the process.
 """
 
 from __future__ import annotations
@@ -77,23 +68,18 @@ RATE = 8
 STATE_WORDS = 8
 ROUNDS = 12
 
-#: Full-block bytes one ``update`` call needs before it uses the memo:
-#: code regions, containers and chunks pass it, quote and MAC material
-#: stays below.
+#: Unabsorbed bytes a plain hasher needs before ``digest()`` uses the
+#: memo: code regions, containers and chunks pass it, nonces and key
+#: fingerprints stay below.
 MEMO_MIN_BYTES = 256
-#: Bytes the absorb memo's keys and the finalization and tag memos'
-#: entries may be charged, together, before all three are emptied.
+#: Bytes the memo's entries may be charged before it is emptied; a
+#: longer input is absorbed as it arrives and never enters whole.
 MEMO_MAX_BYTES = 256 * 1024
-#: What one finalization-memo entry is charged against
-#: :data:`MEMO_MAX_BYTES`: CPython spends about 170 bytes on its key
-#: tuple, tail, digest and dict slot, rounded up to the least an
-#: absorb entry is charged.
-FINAL_ENTRY_BYTES = 256
-#: What one tag-memo entry is charged on top of its key bytes:
-#: CPython spends about 152 bytes on its key tuple, the two ``bytes``
-#: headers, the digest and the dict slot (measured with
-#: ``tracemalloc``).
-TAG_ENTRY_BYTES = 160
+#: What one memo entry is charged on top of its input bytes: CPython
+#: spends 167 to 187 bytes on its key tuple, the input's ``bytes``
+#: header, the digest and its share of the dict (measured with
+#: ``tracemalloc`` over 300 to 10,000 entries).
+MEMO_ENTRY_BYTES = 192
 #: Prefix hashers :func:`prefixed` may keep before it is emptied: one
 #: per device key of a fleet well past the suite's.
 PREFIX_MAX_ENTRIES = 1024
@@ -134,29 +120,43 @@ def _absorb(state: tuple, blocks) -> tuple:
     return a, b, c, d
 
 
-#: ``(state before, full-block bytes) -> state after``.
-_memo: dict[tuple[tuple, bytes], tuple] = {}
-#: ``(state, tail bytes) -> digest`` for states out of ``_memo``.
-_final: dict[tuple[tuple, bytes], bytes] = {}
-#: ``prefix -> hasher that absorbed it``; only ever copied.
+def _lanes(state: bytes) -> tuple:
+    """The 32-byte state ``s0 .. s7`` as ``_absorb``'s four lane pairs."""
+    s0, s1, s2, s3, s4, s5, s6, s7 = struct.unpack("<8I", state)
+    return s0 | s4 << 64, s1 | s5 << 64, s2 | s6 << 64, s3 | s7 << 64
+
+
+def _packed(lanes: tuple) -> bytes:
+    """Four lane pairs as the 32-byte state ``s0 .. s7``.  A hasher keeps
+    its state packed: a ``bytes`` hashes once, then a memo key built on
+    it costs only its input's hash."""
+    a, b, c, d = lanes
+    mask = _MASK
+    return struct.pack(
+        "<8I", a & mask, b & mask, c & mask, d & mask,
+        a >> 64, b >> 64, c >> 64, d >> 64,
+    )
+
+
+#: The state before anything is absorbed.
+_ZERO_STATE = bytes(32)
+#: ``(state, unabsorbed bytes) -> digest``.
+_digests: dict[tuple[bytes, bytes], bytes] = {}
+#: ``key -> keyed hasher that absorbed len || key``; only ever copied.
 _prefixes: dict[bytes, SpongeHash] = {}
-#: ``(prefix, message) -> digest`` of :func:`keyed_digest`.
-_tags: dict[tuple[bytes, bytes], bytes] = {}
 _memo_counts = {
     "hits": 0, "misses": 0, "retained_bytes": 0,
-    "final_hits": 0, "final_misses": 0,
     "prefix_hits": 0, "prefix_misses": 0,
     "tag_hits": 0, "tag_misses": 0,
 }
 
 
 def memo_stats(since: dict | None = None) -> dict:
-    """This process's sponge caches: absorb memo ``hits`` and
-    ``misses``, finalization memo ``final_hits`` and ``final_misses``,
-    prefix cache ``prefix_hits`` and ``prefix_misses``, tag memo
-    ``tag_hits`` and ``tag_misses``, and the bytes the three memos are
-    charged, ``retained_bytes``.  With ``since`` (an earlier result),
-    hits and misses count only what happened after it."""
+    """This process's sponge caches: the memo's ``hits`` and ``misses``
+    (MACs apart, as ``tag_hits`` and ``tag_misses``) and the bytes it
+    is charged, ``retained_bytes``, and the prefix cache's
+    ``prefix_hits`` and ``prefix_misses``.  With ``since`` (an earlier
+    result), hits and misses count only what happened after it."""
     stats = dict(_memo_counts)
     if since is not None:
         for name in stats:
@@ -165,43 +165,17 @@ def memo_stats(since: dict | None = None) -> dict:
     return stats
 
 
-def _retain(size: int) -> None:
-    """Charge ``size`` bytes to the memos, emptying all three first if
-    they would pass the bound."""
-    counts = _memo_counts
-    if counts["retained_bytes"] + size > MEMO_MAX_BYTES:
-        _memo.clear()
-        _final.clear()
-        _tags.clear()
-        counts["retained_bytes"] = 0
-    counts["retained_bytes"] += size
-
-
-def _memo_absorb(state: tuple, blocks: bytes) -> tuple:
-    """``_absorb(state, blocks)``, looked up in or stored to the memo."""
-    key = (state, blocks)
-    after = _memo.get(key)
-    counts = _memo_counts
-    if after is not None:
-        counts["hits"] += 1
-        return after
-    after = _absorb(state, struct.iter_unpack("<2I", blocks))
-    _retain(len(blocks))
-    _memo[key] = after
-    counts["misses"] += 1
-    return after
-
-
-def _finalize(state: tuple, tail: bytes, size: int = DIGEST_SIZE) -> bytes:
-    """Pad ``tail``, absorb it into ``state`` and squeeze 16 bytes, or
-    only the first :data:`RATE` if ``size`` needs no more."""
-    if len(tail) == RATE - 1:
-        block = tail + b"\x81"
+def _finalize(state: bytes, data: bytes, size: int = DIGEST_SIZE) -> bytes:
+    """Absorb ``data`` and its padding into ``state`` and squeeze 16
+    bytes, or only the first :data:`RATE` if ``size`` needs no more."""
+    tail = len(data) % RATE
+    if tail == RATE - 1:
+        data += b"\x81"
     else:
-        block = tail + b"\x80" + bytes(RATE - 2 - len(tail)) + b"\x01"
+        data += b"\x80" + bytes(RATE - 2 - tail) + b"\x01"
     # Squeeze (s0, s1) twice, one permutation apart; nothing reads the
     # state after the second, so it is not permuted.
-    first = _absorb(state, struct.iter_unpack("<2I", block))
+    first = _absorb(_lanes(state), struct.iter_unpack("<2I", data))
     if size <= RATE:
         return struct.pack("<2I", first[0] & _MASK, first[1] & _MASK)
     second = _absorb(first, ((0, 0),))
@@ -209,91 +183,106 @@ def _finalize(state: tuple, tail: bytes, size: int = DIGEST_SIZE) -> bytes:
     return struct.pack("<4I", *(w & _MASK for w in words))
 
 
-def _memo_finalize(state: tuple, tail: bytes) -> bytes:
-    """``_finalize(state, tail)``, looked up in or stored to the
-    finalization memo."""
-    key = (state, tail)
-    digest = _final.get(key)
+def _memo_digest(state: bytes, data: bytes, keyed: bool) -> bytes:
+    """``_finalize(state, data)``, looked up in or stored to the memo."""
+    key = (state, data)
+    digest = _digests.get(key)
     counts = _memo_counts
+    kind = "tag_" if keyed else ""
     if digest is not None:
-        counts["final_hits"] += 1
+        counts[kind + "hits"] += 1
         return digest
-    digest = _finalize(state, tail)
-    _retain(FINAL_ENTRY_BYTES)
-    _final[key] = digest
-    counts["final_misses"] += 1
+    digest = _finalize(state, data)
+    size = len(data) + MEMO_ENTRY_BYTES
+    if size <= MEMO_MAX_BYTES:
+        if counts["retained_bytes"] + size > MEMO_MAX_BYTES:
+            _digests.clear()
+            counts["retained_bytes"] = 0
+        counts["retained_bytes"] += size
+        _digests[key] = digest
+    counts[kind + "misses"] += 1
     return digest
 
 
-def prefixed(prefix: bytes) -> SpongeHash:
-    """A fresh hasher that has absorbed ``prefix`` (a ``bytes``), copied
-    from the process's prefix cache."""
-    hasher = _prefixes.get(prefix)
+def prefixed(key: bytes) -> SpongeHash:
+    """A fresh keyed hasher that has absorbed ``len(key) || key``
+    (``key`` a ``bytes``), copied from the process's prefix cache."""
+    hasher = _prefixes.get(key)
     counts = _memo_counts
     if hasher is None:
         counts["prefix_misses"] += 1
-        hasher = SpongeHash().update(prefix)
+        hasher = SpongeHash().update(len(key).to_bytes(4, "little") + key)
+        hasher._keyed = True
         if len(_prefixes) >= PREFIX_MAX_ENTRIES:
             _prefixes.clear()
-        _prefixes[prefix] = hasher
+        _prefixes[key] = hasher
     else:
         counts["prefix_hits"] += 1
     return hasher.copy()
 
 
-def keyed_digest(prefix: bytes, message: bytes) -> bytes:
-    """The digest of ``prefix`` (a ``bytes``) then ``message``, looked
-    up in or stored to the tag memo."""
-    # ``bytes + bytes-like`` is a ``bytes`` (``message`` itself if it
-    # is one): the key never aliases a caller's buffer.
-    message = b"" + message
-    key = (prefix, message)
-    digest = _tags.get(key)
-    counts = _memo_counts
+def memoized_tag(key: bytes, message: bytes) -> bytes | None:
+    """The memo's digest of ``message`` from the cached keyed hasher of
+    ``key``, found without copying it, or ``None`` (the miss is counted
+    when the caller's copy finalizes).  A ``bytearray`` or writable
+    ``memoryview`` key is unhashable, so it finds nothing here and is
+    looked up by that copy."""
+    try:
+        hasher = _prefixes.get(key)
+    except (TypeError, ValueError):
+        return None
+    if hasher is None:
+        return None
+    digest = _digests.get((hasher._state, hasher._buffer + message))
     if digest is not None:
-        counts["tag_hits"] += 1
-        return digest
-    digest = prefixed(prefix).update(message).digest()
-    size = len(prefix) + len(message) + TAG_ENTRY_BYTES
-    if size <= MEMO_MAX_BYTES:
-        _retain(size)
-        _tags[key] = digest
-    counts["tag_misses"] += 1
+        _memo_counts["tag_hits"] += 1
     return digest
 
 
 class SpongeHash:
     """Incremental sponge hash (absorb bytes, squeeze a 128-bit digest)."""
 
+    #: Whether ``digest()`` uses the memo at any size, counting as a
+    #: MAC; set on the prefix cache's hashers and so on their copies.
+    _keyed = False
+
     def __init__(self) -> None:
-        self._state = (0, 0, 0, 0)
+        self._state = _ZERO_STATE
+        # What is not absorbed yet: a partial block, or an input kept
+        # whole for the memo.
         self._buffer = b""
         self._finalized: bytes | None = None
-        # Whether ``_state`` came out of the absorb memo.
-        self._memoized = False
 
     def update(self, data: bytes | bytearray | memoryview) -> "SpongeHash":
         """Absorb ``data``; chainable.  Rejects use after finalization."""
         if self._finalized is not None:
             raise ValueError("cannot update a finalized hash")
         # TypeError unless bytes-like; ``bytes(5)`` would give 5 zeros.
-        # ``bytes + bytes-like`` is a new ``bytes``: the key below never
+        # ``bytes + bytes-like`` is a ``bytes``: a memo key never
         # aliases the caller's buffer.
         data = self._buffer + data
-        full = len(data) - len(data) % RATE
-        if MEMO_MIN_BYTES <= full <= MEMO_MAX_BYTES:
-            self._state = _memo_absorb(self._state, data[:full])
-            self._memoized = True
-        elif full:
-            # Lazily, so a large input never becomes one big tuple.
-            blocks = struct.iter_unpack("<2I", memoryview(data)[:full])
-            self._state = _absorb(self._state, blocks)
-            self._memoized = False
-        self._buffer = data[full:]
+        if len(data) <= MEMO_MAX_BYTES and (
+            self._keyed or len(data) >= MEMO_MIN_BYTES
+        ):
+            # Kept whole for ``digest()``'s memo lookup.
+            self._buffer = data
+        else:
+            self._absorb_blocks(data)
         return self
 
+    def _absorb_blocks(self, data: bytes) -> None:
+        """Absorb ``data``'s full blocks and buffer its partial last one."""
+        full = len(data) - len(data) % RATE
+        if full:
+            # Lazily, so a large input never becomes one big tuple.
+            blocks = struct.iter_unpack("<2I", memoryview(data)[:full])
+            self._state = _packed(_absorb(_lanes(self._state), blocks))
+        self._buffer = data[full:]
+
     def copy(self) -> "SpongeHash":
-        """An independent hasher in this one's exact state."""
+        """An independent hasher in this one's exact state.  This one
+        absorbs what it buffered first, so its copies share that work."""
+        self._absorb_blocks(self._buffer)
         clone = SpongeHash.__new__(SpongeHash)
         # Every field is immutable, so sharing them is a full copy.
         clone.__dict__.update(self.__dict__)
@@ -304,15 +293,17 @@ class SpongeHash:
         the 16-byte digest.
 
         Up to :data:`RATE` bytes come from the first squeeze alone, so
-        a short read skips the second permutation; the finalization
-        memo still stores only full digests.
+        a short read skips the second permutation; the memo still
+        stores only full digests.
         """
         if not 0 <= size <= DIGEST_SIZE:
             raise ValueError(f"digest size must be 0..{DIGEST_SIZE}: {size}")
         finalized = self._finalized
         if finalized is None or len(finalized) < size:
-            if self._memoized:
-                finalized = _memo_finalize(self._state, self._buffer)
+            if self._keyed or len(self._buffer) >= MEMO_MIN_BYTES:
+                finalized = _memo_digest(
+                    self._state, self._buffer, self._keyed
+                )
             else:
                 finalized = _finalize(self._state, self._buffer, size)
             self._finalized = finalized

@@ -131,7 +131,9 @@ def inject_irq_storm(
     events of that tick.  Lines are drawn only from those the exception
     engine has a handler for — a glitching fabric re-raising real
     lines, not inventing wiring.  The returned dict's ``"raised"``
-    counts arrivals and keeps updating live.
+    counts arrivals and keeps updating live.  A snapshot keeps the lines
+    already latched but not the wrappers, so a clone starts storm-free;
+    re-inject after cloning.
     """
     if mean_gap < 1:
         raise FaultError(f"mean_gap must be >= 1 cycle: {mean_gap}")
@@ -172,6 +174,8 @@ def inject_irq_drops(
     latches, modelling a flaky interrupt fabric.  NMIs are dropped
     too — the watchdog recovery tests check what that costs.  The
     returned dict's ``"dropped"``/``"delivered"`` counters update live.
+    A snapshot does not keep the wrapper, so a clone drops nothing;
+    re-inject after cloning.
     """
     if not 0.0 <= rate < 1.0:
         raise FaultError(f"rate must be in [0, 1): {rate}")

@@ -425,7 +425,7 @@ def verify_quote_batch(batch: QuoteCheckBatch) -> tuple[bool, ...]:
     Pure function of the batch: recomputes each device's expected
     quote (``MAC(key, nonce ‖ seq ‖ device_id ‖ expected_rows)``) and
     compares in constant time.  The recomputation is served by the
-    process's tag memo (:func:`~repro.crypto.sponge.keyed_digest`)
+    process's digest memo (:func:`~repro.crypto.sponge.memoized_tag`)
     when that process has just computed an untampered device's quote
     over the same material; it never reads the received quote.  In a
     pool process the memo is cold, so every check recomputes.

@@ -113,7 +113,6 @@ class ServiceConfig(LinkParameters):
     pipeline_depth: int = 2
     batch_setup_cycles: int = 512
     snapshot_every_cycles: int = 4096
-    trace_capacity: int = 0
 
     def __post_init__(self) -> None:
         if self.devices < 1:
@@ -281,7 +280,6 @@ class AttestationService:
             self._prepared.snapshot_blob,
             dict(self._prepared.keys),
             compromised=self._prepared.expected_compromised,
-            trace_capacity=self.config.trace_capacity,
         )
         for device_id in devices:
             self.transport.register(device_id)

@@ -2,7 +2,7 @@
 
 Such a read is served by the first squeeze alone and skips the second
 permutation.  The bytes must equal the head of the full digest, the
-finalization memo must keep only full digests, and nonces and key
+digest memo must keep only full digests, and nonces and key
 fingerprints, the two callers that read short digests, must not move.
 """
 
@@ -28,10 +28,8 @@ from repro.ota.container import KEY_ID_SIZE, key_fingerprint
 def empty_memos():
     with mock.patch.multiple(
         sponge,
-        _memo={},
-        _final={},
+        _digests={},
         _prefixes={},
-        _tags={},
         _memo_counts=dict.fromkeys(sponge._memo_counts, 0),
     ):
         yield
@@ -97,8 +95,8 @@ def test_memo_keeps_full_digests_after_short_reads():
     with empty_memos():
         assert SpongeHash().update(data).digest(NONCE_SIZE) == \
             sponge_hash(data)[:NONCE_SIZE]
-        assert sponge._final
-        assert all(len(d) == DIGEST_SIZE for d in sponge._final.values())
+        assert sponge._digests
+        assert all(len(d) == DIGEST_SIZE for d in sponge._digests.values())
         assert SpongeHash().update(data).digest() == sponge_hash(data)
 
 

@@ -4,20 +4,18 @@ A fleet device re-measures its code live off the bus on every quote.
 Each case below warms the measurement of every Trustlet Table row,
 drives one mutation path, then re-measures.  Every re-measurement must
 equal a reference digest of the same live bytes, fed to the sponge in
-8-byte ``update`` calls, which stay below ``MEMO_MIN_BYTES`` and never
-touch the absorb memo.  A path that changes the full blocks of a
-measured region must also record a memo miss; a region whose full
-blocks are unchanged must hit (the partial last block is absorbed by
-``digest()``, outside the absorb memo).  ``digest()`` has its own
-finalization memo, keyed on (state, partial last block): it must hit
-only when the whole region is unchanged, and a second measurement,
-served by both memos, must still equal the reference.
+8-byte ``update`` calls, which stay below ``MEMO_MIN_BYTES``, are
+absorbed at once and never touch the digest memo.  The memo is keyed on
+(state, unabsorbed bytes): a region whose bytes are unchanged must hit,
+a path that changes a region's bytes must record a miss (at the
+re-measurement, or earlier at the boot that wrote them), and a second
+measurement, served by the memo, must still equal the reference.
 
 The same mutation paths then run past the verifier: each mutated
 device answers a challenge first, and both verifier paths must reach
 the verdict a memo-free recomputation reaches.
 
-The aliasing, bound and property tests below hold the memos, the MAC
+The aliasing, bound and property tests below hold the memo, the MAC
 prefix cache and nonce sources to the same reference and to the
 known-answer vectors.
 """
@@ -81,25 +79,18 @@ def reference_digest(data: bytes) -> bytes:
 @contextlib.contextmanager
 def isolated_memo(max_bytes=sponge.MEMO_MAX_BYTES,
                   max_prefixes=sponge.PREFIX_MAX_ENTRIES):
-    """Empty memos and prefix cache (optionally with smaller bounds)
+    """An empty memo and prefix cache (optionally with smaller bounds)
     for the block, so counts and clears do not depend on what ran
     before."""
     with mock.patch.multiple(
         sponge,
-        _memo={},
-        _final={},
+        _digests={},
         _prefixes={},
-        _tags={},
         _memo_counts=dict.fromkeys(sponge._memo_counts, 0),
         MEMO_MAX_BYTES=max_bytes,
         PREFIX_MAX_ENTRIES=max_prefixes,
     ):
         yield
-
-
-def full_blocks(data: bytes) -> bytes:
-    """The part of one ``update`` that the memo keys on."""
-    return data[:len(data) - len(data) % RATE]
 
 
 def regions(platform) -> list[tuple[int, int]]:
@@ -210,7 +201,7 @@ def boot_signed_prom_write(device, golden):
     return device.platform
 
 
-#: ``(mutation, changes measured full blocks, boots the v1 container
+#: ``(mutation, changes measured bytes, boots the v1 container
 #: first)``; ``None``: either, depending on where the flip lands.
 CASES = {
     "flip_memory_bits:prom": (prom_flip, True, False),
@@ -234,13 +225,11 @@ def test_remeasurement_matches_reference(case, golden):
         device.platform.boot_signed(v1, trust_root=root)
     with isolated_memo():
         warm = set()
-        warm_whole = set()
         for region in regions(device.platform):
             data = live(device.platform, region)
             assert measure_code(device.platform.bus, *region) == \
                 reference_digest(data)
-            warm.add(full_blocks(data))
-            warm_whole.add(data)
+            warm.add(data)
         warmed = memo_stats()
 
         platform = mutate(device, golden)
@@ -251,19 +240,15 @@ def test_remeasurement_matches_reference(case, golden):
             before = memo_stats()
             digest = measure_code(platform.bus, *region)
             assert digest == reference_digest(data), region
-            if full_blocks(data) in warm:
+            if data in warm:
                 assert memo_stats(since=before)["hits"] == 1, region
-                # The finalization memo serves an unchanged region and
-                # misses on a changed tail.
-                assert memo_stats(since=before)["final_hits"] == \
-                    (data in warm_whole), region
             else:
                 changed += 1
             # What it serves or stores is the reference digest.
             before = memo_stats()
             assert measure_code(platform.bus, *region) == \
                 reference_digest(data), region
-            assert memo_stats(since=before)["final_hits"] == 1, region
+            assert memo_stats(since=before)["hits"] == 1, region
         if changes is not None:
             assert bool(changed) == changes
         if changed:
@@ -298,13 +283,14 @@ def test_memo_hits_on_repeated_quotes(golden):
         device.compute_quote(bytes(8), 2)
         again = memo_stats(since=first)
     assert first["misses"] == len(regions(device.platform))
-    # A new sequence number is new MAC material: one more tag entry.
-    tag_entry = 4 + len(KEY) + len(
+    # A new sequence number is new MAC material: one more entry, keyed
+    # on what the cached prefix hasher left unabsorbed plus the
+    # material.
+    tag_entry = (4 + len(KEY)) % RATE + len(
         quote_material(bytes(8), 2, 0, reference_rows(device.platform))
-    ) + sponge.TAG_ENTRY_BYTES
+    ) + sponge.MEMO_ENTRY_BYTES
     assert again == {"hits": first["misses"], "misses": 0,
                      "retained_bytes": first["retained_bytes"] + tag_entry,
-                     "final_hits": first["misses"], "final_misses": 0,
                      "prefix_hits": 1, "prefix_misses": 0,
                      "tag_hits": 0, "tag_misses": 1}
 
@@ -361,7 +347,7 @@ def checks(verifier, expected_rows, device):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_verifier_rejects_every_mutation(case, golden):
-    """Each device answers first, so its own quote is in the tag memo
+    """Each device answers first, so its own quote is in the memo
     before the verifier recomputes the expected one.  The verdict must
     be the memo-free one: a device whose measured code changed is
     rejected on both paths through a tag miss, never a hit, and an
@@ -408,15 +394,15 @@ def test_mutating_the_source_in_place_changes_the_digest(wrap):
         assert sponge_hash(data) == first
         assert memo_stats() == {"hits": 1, "misses": 2,
                                 "retained_bytes": 2 * (
-                                    600 + sponge.FINAL_ENTRY_BYTES),
-                                "final_hits": 1, "final_misses": 2,
+                                    600 + sponge.MEMO_ENTRY_BYTES),
                                 "prefix_hits": 0, "prefix_misses": 0,
                                 "tag_hits": 0, "tag_misses": 0}
 
 
 def test_key_prefixed_messages_share_the_memo():
-    """A MAC's message absorbs from the keyed state, so one message
-    under two keys is two entries, and a repeat under either hits."""
+    """A short key is absorbed at once and the message is looked up from
+    the keyed state, so one message under two keys is two entries, and
+    a repeat under either hits."""
     message = CYCLE[:512]
     keys = (b"key-one!", b"key-two!")
     with isolated_memo():
@@ -438,24 +424,21 @@ def test_below_threshold_and_oversized_inputs_skip_the_memo():
         assert sponge_hash(CYCLE[:1600]).hex() == SPONGE_KAT[1600]
         assert memo_stats() == {"hits": 0, "misses": 0,
                                 "retained_bytes": 0,
-                                "final_hits": 0, "final_misses": 0,
                                 "prefix_hits": 0, "prefix_misses": 0,
                                 "tag_hits": 0, "tag_misses": 0}
 
 
 def test_bound_clears_instead_of_growing():
-    # An absorb entry is charged its 400 key bytes, a finalization
-    # entry a fixed FINAL_ENTRY_BYTES; two hashes fit, three do not.
-    entry = 400 + sponge.FINAL_ENTRY_BYTES
+    # An entry is charged its 400 input bytes plus MEMO_ENTRY_BYTES;
+    # two hashes fit, three do not.
+    entry = 400 + sponge.MEMO_ENTRY_BYTES
     with isolated_memo(max_bytes=2 * entry + 100):
         retained = []
         for start in (0, 8, 16):
             sponge_hash(CYCLE[start:start + 400])
             retained.append(memo_stats()["retained_bytes"])
         assert retained == [entry, 2 * entry, entry]
-        assert len(sponge._memo) == 1
-        # The finalization memo is emptied with it.
-        assert len(sponge._final) == 1
+        assert len(sponge._digests) == 1
 
 
 @pytest.mark.parametrize("bad", [5, "text", None])
@@ -512,11 +495,10 @@ def test_property_memo_equals_reference(messages):
 # The finalization memo, the MAC prefix cache and nonce sources.
 
 
-def test_tail_flip_hits_the_absorb_memo_and_misses_finalization(golden):
+def test_tail_flip_misses_and_equals_the_reference(golden):
     """The OS region [364, 1520) is 1,156 bytes: 144 full blocks and a
-    4-byte partial tail.  A flip in the tail leaves the absorb memo's
-    key alone, so it hits; the finalization memo's key changes, so it
-    misses, and the digest is still the reference."""
+    4-byte partial tail.  A flip in the tail alone changes the memo's
+    key, so the re-measurement misses, and it is still the reference."""
     device = fresh_device(golden)
     platform = device.platform
     region = (364, 1520)
@@ -527,12 +509,11 @@ def test_tail_flip_hits_the_absorb_memo_and_misses_finalization(golden):
         flip_memory_bits(platform, random.Random(0), memory="prom",
                          lo=1516, hi=1520)
         data = live(platform, region)
-        assert data != warm and full_blocks(data) == full_blocks(warm)
+        assert data != warm and data[:1152] == warm[:1152]
         before = memo_stats()
         assert measure_code(platform.bus, *region) == reference_digest(data)
         delta = memo_stats(since=before)
-    assert (delta["hits"], delta["misses"]) == (1, 0)
-    assert (delta["final_hits"], delta["final_misses"]) == (0, 1)
+    assert (delta["hits"], delta["misses"]) == (0, 1)
 
 
 def reference_mac(key: bytes, message: bytes) -> bytes:
@@ -616,65 +597,141 @@ def test_property_prefix_cache_equals_reference(macs, seeds, cut):
             reference_digest(data[:cut] + b"other")
 
 
-def test_tag_memo_is_bounded_with_the_other_memos():
-    """A tag entry is charged its prefix and message bytes plus
-    TAG_ENTRY_BYTES; one that could never fit is computed but not
-    kept, and a clear empties all three memos."""
+#: One step of the mixed property: a plain hash of a prefix of CYCLE,
+#: a MAC, a nonce, or a copy cut mid-input.
+STEPS = st.one_of(
+    st.tuples(st.just("hash"),
+              st.sampled_from([0, 7, 64, 255, 256, 300, 700, 1000]),
+              st.integers(min_value=-1, max_value=999)),
+    st.tuples(st.just("mac"), st.sampled_from(KEY_LENGTHS),
+              st.sampled_from(KINDS), st.sampled_from(MESSAGE_LENGTHS),
+              st.sampled_from(KINDS)),
+    st.tuples(st.just("nonce"),
+              st.sampled_from([b"", b"seed", CYCLE[:15], CYCLE[:300]])),
+    st.tuples(st.just("copy"), st.sampled_from([0, 20, 300, 700]),
+              st.integers(min_value=0, max_value=700)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(STEPS, min_size=1, max_size=16))
+def test_property_one_memo_equals_reference(steps):
+    """Plain hashes above and below MEMO_MIN_BYTES, MACs over every kind
+    of buffer, nonces and copies, under a bound small enough that the
+    memo and the prefix cache are emptied mid-run, always equal the
+    cache-free reference.  A MAC is exactly one lookup, counted only
+    under ``tag_*``; a plain hash is one lookup under ``hits`` and
+    ``misses`` when at least MEMO_MIN_BYTES reach ``digest()``
+    unabsorbed, and none otherwise; a nonce is none."""
+    bound = 2048
+    streams = {}
+    with isolated_memo(max_bytes=bound, max_prefixes=2):
+        for step in steps:
+            before = memo_stats()
+            kind = step[0]
+            if kind == "hash":
+                _, length, flip = step
+                data = bytearray(CYCLE[:length])
+                if 0 <= flip < length:
+                    data[flip] ^= 0x80
+                assert sponge_hash(data) == reference_digest(bytes(data))
+                lookups = int(sponge.MEMO_MIN_BYTES <= length <= bound)
+                tags = 0
+            elif kind == "mac":
+                _, key_length, key_kind, message_length, message_kind = step
+                raw_key = CYCLE[:key_length]
+                raw_message = CYCLE[3:3 + message_length]
+                key, _ = wrapped(key_kind, raw_key)
+                message, _ = wrapped(message_kind, raw_message)
+                assert mac(key, message) == reference_mac(raw_key, raw_message)
+                lookups, tags = 0, 1
+            elif kind == "nonce":
+                seed = step[1]
+                nonces = streams.setdefault(seed, NonceSource(seed))
+                counter = nonces._counter + 1
+                assert nonces.next_nonce() == reference_nonce(seed, counter)
+                lookups = tags = 0
+            else:
+                _, length, cut = step
+                data = CYCLE[:length]
+                cut = min(cut, length)
+                original = SpongeHash().update(data[:cut])
+                clone = original.copy()
+                assert clone.update(data[cut:]).digest() == \
+                    reference_digest(data)
+                assert original.digest() == reference_digest(data[:cut])
+                lookups = None
+                tags = 0
+            delta = memo_stats(since=before)
+            assert delta["tag_hits"] + delta["tag_misses"] == tags, step
+            if lookups is not None:
+                assert delta["hits"] + delta["misses"] == lookups, step
+            assert memo_stats()["retained_bytes"] <= bound
+
+
+def test_macs_share_the_bound():
+    """A MAC entry is charged what its prefix hasher left unabsorbed
+    (nothing, for a 12-byte key) plus the message bytes and
+    MEMO_ENTRY_BYTES, against the one bound.  A message past the bound
+    is absorbed as it arrives, so it never enters whole."""
     key = CYCLE[:12]
-    entry = 4 + len(key) + 40 + sponge.TAG_ENTRY_BYTES
+    entry = 40 + sponge.MEMO_ENTRY_BYTES
     with isolated_memo(max_bytes=2 * entry + 10):
         for start in (0, 40, 0, 80):
             message = CYCLE[start:start + 40]
             assert mac(key, message) == reference_mac(key, message)
         # The third MAC hit; the fourth cleared the first two.
-        assert (memo_stats()["tag_hits"], len(sponge._tags)) == (1, 1)
+        assert (memo_stats()["tag_hits"], len(sponge._digests)) == (1, 1)
         assert memo_stats()["retained_bytes"] == entry
         big = CYCLE[:3 * entry]
         for _ in range(2):
             assert mac(key, big) == reference_mac(key, big)
-        assert big not in {message for _, message in sponge._tags}
-        assert memo_stats()["tag_misses"] == 5
+            assert memo_stats()["retained_bytes"] <= 2 * entry + 10
+        assert all(len(data) < len(big) for _, data in sponge._digests)
+        stats = memo_stats()
+    assert (stats["hits"], stats["misses"]) == (0, 0)
 
 
 def test_copies_never_change_the_cached_prefix():
     """Updating or finalizing a handed-out copy, or a MAC on top of
     one, leaves the cached hasher exactly as it was."""
-    prefix = len(CYCLE[:20]).to_bytes(4, "little") + CYCLE[:20]
+    key = CYCLE[:20]
+    prefix = len(key).to_bytes(4, "little") + key
     with isolated_memo():
-        first = prefixed(prefix)
-        cached = sponge._prefixes[prefix]
+        first = prefixed(key)
+        cached = sponge._prefixes[key]
         assert first is not cached
         state = dict(vars(cached))
         first.update(CYCLE[:300]).digest()
-        prefixed(prefix).update(b"x").digest()
-        mac(CYCLE[:20], CYCLE[:600])
-        prefixed(prefix).digest()
+        prefixed(key).update(b"x").digest()
+        mac(key, CYCLE[:600])
+        prefixed(key).digest()
         assert vars(cached) == state
-        assert prefixed(prefix).digest() == reference_digest(prefix)
-        assert mac(CYCLE[:20], b"m") == reference_mac(CYCLE[:20], b"m")
+        assert prefixed(key).digest() == reference_digest(prefix)
+        assert mac(key, b"m") == reference_mac(key, b"m")
         stats = memo_stats()
     assert (stats["prefix_hits"], stats["prefix_misses"]) == (5, 1)
 
 
-def test_short_tails_are_charged_per_entry():
-    """Inputs that share their full blocks and differ only in a short
-    tail add one finalization entry each.  Each is charged
-    FINAL_ENTRY_BYTES, not its tail bytes, so they fill the bound and
-    clear it instead of piling up."""
+def test_entries_are_charged_their_bytes_plus_overhead():
+    """Inputs that differ only in their last byte are one entry each,
+    charged its input bytes plus MEMO_ENTRY_BYTES, so they fill the
+    bound and clear it instead of piling up."""
     shared = CYCLE[:256]
-    bound = 256 + 4 * sponge.FINAL_ENTRY_BYTES
+    entry = 257 + sponge.MEMO_ENTRY_BYTES
+    bound = 4 * entry + 100
     with isolated_memo(max_bytes=bound):
         sizes = []
         for tail in range(10):
             data = shared + bytes([tail])
             assert sponge_hash(data) == reference_digest(data)
-            assert memo_stats()["retained_bytes"] <= bound
-            sizes.append(len(sponge._final))
+            assert memo_stats()["retained_bytes"] == \
+                len(sponge._digests) * entry
+            sizes.append(len(sponge._digests))
         stats = memo_stats()
-    # Four tails fit beside the shared absorb entry; the fifth clears
-    # both memos and starts over.
+    # Four fit; the fifth clears the memo and starts over.
     assert sizes == [1, 2, 3, 4, 1, 2, 3, 4, 1, 2]
-    assert stats["final_misses"] == 10 and stats["final_hits"] == 0
+    assert (stats["misses"], stats["hits"]) == (10, 0)
 
 
 def test_finalized_copy_stays_finalized():

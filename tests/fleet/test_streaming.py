@@ -90,13 +90,11 @@ class TestShardMerger:
             merger.add({**result, "sponge_memo": {
                 "hits": 10 * index, "misses": 1,
                 "retained_bytes": 1000 - index,
-                "final_hits": 5 * index, "final_misses": 2,
                 "prefix_hits": 3 * index, "prefix_misses": 4,
                 "tag_hits": 2 * index, "tag_misses": 5,
             }})
         assert merger.sponge_memo == {
             "hits": 30, "misses": 3, "retained_bytes": 1000,
-            "final_hits": 15, "final_misses": 6,
             "prefix_hits": 9, "prefix_misses": 12,
             "tag_hits": 6, "tag_misses": 15,
         }

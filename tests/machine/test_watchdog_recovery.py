@@ -5,14 +5,17 @@ so it must itself survive the faults the campaign throws at
 everything else: its NMI must remain visible through an IRQ storm of
 maskable lines, and its countdown must travel exactly through
 ``snapshot_state``/``restore_state`` and ``Snapshot.clone`` so a
-restored fleet device keeps its DoS protection mid-countdown.
+restored fleet device keeps its DoS protection mid-countdown.  The
+fault injectors, which wrap instance methods, do not travel: a clone of
+a fault-injected platform keeps what was latched and starts fault-free.
 """
 
 import pytest
 
 from repro.core.platform import TrustLitePlatform
-from repro.faults import FaultPlan, inject_irq_storm
-from repro.machine import Snapshot
+from repro.faults import FaultPlan, inject_irq_drops, inject_irq_storm
+from repro.machine import Snapshot, decode_snapshot, encode_snapshot
+from repro.machine.bus import Bus
 from repro.machine.devices.watchdog import (
     CTRL,
     CTRL_ENABLE,
@@ -180,10 +183,45 @@ class TestSnapshotClone:
         assert armed_snapshot.clone().soc.watchdog.read(0x08, 4) == 300
 
     def test_codec_round_trip_preserves_countdown(self, armed_snapshot):
-        from repro.machine import decode_snapshot, encode_snapshot
-
         decoded = decode_snapshot(encode_snapshot(armed_snapshot))
         dog = decoded.clone().soc.watchdog
         assert (dog.period, dog.enabled, dog.read(0x08, 4)) == (
             500, True, 300,
         )
+
+
+class TestInjectedFaultsAcrossClones:
+    def test_clone_of_a_faulted_platform_starts_fault_free(self):
+        """A snapshot keeps the interrupts the storm already latched and
+        drops both injectors; ticking the clone latches nothing, while
+        the original's storm keeps arriving.  A caller that wants the
+        faults on a clone re-injects them after cloning."""
+        platform = TrustLitePlatform()
+        platform.boot(build_attestation_image())
+        storm = inject_irq_storm(
+            platform, FaultPlan(11).rng("wdog-storm"), mean_gap=2
+        )
+        inject_irq_drops(platform, FaultPlan(11).rng("wdog-drops"))
+        for _ in range(32):
+            platform.bus.tick(1)
+        saved = Snapshot.save(platform)
+        assert saved.irq_pending
+        assert {i.source for i in saved.irq_pending} == {"fault:storm"}
+
+        clone = decode_snapshot(encode_snapshot(saved)).clone()
+        assert Snapshot.save(clone).irq_pending == saved.irq_pending
+        soc = clone.soc
+        assert soc.bus.tick.__func__ is Bus.tick
+        assert soc.cpu.event_horizon == soc.bus.next_event_in
+        assert soc.irq.raise_line.__func__ is InterruptController.raise_line
+
+        for twin in (clone, platform):
+            for interrupt in Snapshot.save(twin).irq_pending:
+                twin.soc.irq.acknowledge(interrupt.line)
+        raised = storm["raised"]
+        for _ in range(64):
+            clone.bus.tick(1)
+            platform.bus.tick(1)
+        assert len(clone.soc.irq) == 0
+        assert storm["raised"] == raised + 32
+        assert len(platform.soc.irq) > 0

@@ -56,9 +56,8 @@ class TestHappyPath:
 
     def test_sponge_memo_counts_only_under_execution(self, report):
         memo = report["execution"]["sponge_memo"]
+        # Re-measured modules are served by the digest memo.
         assert memo["hits"] > 0 and memo["retained_bytes"] > 0
-        # Re-measured modules finalize from the finalization memo.
-        assert memo["final_hits"] > 0
         assert "sponge_memo" not in _payload(report)
 
     def test_report_is_json_clean(self, report):
