@@ -15,8 +15,8 @@ for production cryptographic use.
 """
 
 from repro.crypto.sponge import DIGEST_SIZE, SpongeHash, sponge_hash
-from repro.crypto.mac import constant_time_equal, mac
-from repro.crypto.tokens import NonceSource, session_token
+from repro.crypto.mac import constant_time_equal, mac, macs
+from repro.crypto.tokens import NonceSource, next_nonces, session_token
 
 __all__ = [
     "DIGEST_SIZE",
@@ -24,6 +24,8 @@ __all__ = [
     "SpongeHash",
     "constant_time_equal",
     "mac",
+    "macs",
+    "next_nonces",
     "session_token",
     "sponge_hash",
 ]

@@ -9,7 +9,7 @@ real device would use a hardware entropy source.
 
 from __future__ import annotations
 
-from repro.crypto.sponge import SpongeHash, sponge_hash
+from repro.crypto.sponge import SpongeHash, finalize_all, sponge_hash
 
 NONCE_SIZE = 8
 
@@ -37,9 +37,19 @@ class NonceSource:
     def next_nonce(self) -> bytes:
         """Fresh 8-byte nonce, never repeated for this source:
         ``H(seed || counter)``."""
-        self._counter += 1
-        counter = self._counter.to_bytes(8, "little")
-        return self._base.copy().update(counter).digest(NONCE_SIZE)
+        return next_nonces((self,))[0]
+
+
+def next_nonces(sources) -> list[bytes]:
+    """``[source.next_nonce() for source in sources]``, permuted
+    together: each copy leaves its counter unabsorbed for
+    :func:`~repro.crypto.sponge.finalize_all`."""
+    hashers = []
+    for source in sources:
+        source._counter += 1
+        counter = source._counter.to_bytes(8, "little")
+        hashers.append(source._base.copy(counter))
+    return finalize_all(hashers, NONCE_SIZE)
 
 
 def session_token(

@@ -423,22 +423,25 @@ def verify_quote_batch(batch: QuoteCheckBatch) -> tuple[bool, ...]:
     """Check every quote in the batch; one verdict bool per item.
 
     Pure function of the batch: recomputes each device's expected
-    quote (``MAC(key, nonce ‖ seq ‖ device_id ‖ expected_rows)``) and
-    compares in constant time.  The recomputation is served by the
-    process's digest memo (:func:`~repro.crypto.sponge.memoized_tag`)
-    when that process has just computed an untampered device's quote
-    over the same material; it never reads the received quote.  In a
-    pool process the memo is cold, so every check recomputes.
+    quote (``MAC(key, nonce ‖ seq ‖ device_id ‖ expected_rows)``) with
+    one :func:`~repro.crypto.mac.macs` call and compares in constant
+    time.  A tag the process's digest memo holds (an untampered
+    device's quote this process has just computed over the same
+    material) is found without permuting; the rest, and every check in
+    a pool process, whose memo is cold, are permuted together.  It
+    never reads the received quote.
     """
-    from repro.crypto import constant_time_equal, mac
+    from repro.crypto import constant_time_equal, macs
     from repro.fleet.device import quote_material
 
     rows = list(batch.expected_rows)
+    tags = macs([
+        (key, quote_material(nonce, seq, device_id, rows))
+        for device_id, seq, nonce, _quote, key in batch.items
+    ])
     return tuple(
-        constant_time_equal(
-            quote, mac(key, quote_material(nonce, seq, device_id, rows))
-        )
-        for device_id, seq, nonce, quote, key in batch.items
+        constant_time_equal(item[3], tag)
+        for item, tag in zip(batch.items, tags)
     )
 
 

@@ -1,8 +1,10 @@
 """The fleet verifier: batched challenges, one device loop, verdicts.
 
-One attestation *round* challenges every device, steps each device
-endpoint in turn (sorted device order, one thread), collects
-responses off the transport and classifies each device:
+One attestation *round* draws every pending device's nonce, challenges
+each device, then, 64 devices at a time, computes their expected
+quotes together and steps their endpoints in turn (sorted device
+order, one thread); last it collects responses off the transport and
+classifies each device:
 
 * ``healthy``      — quote matches the expected fleet quote;
 * ``compromised``  — a quote arrived but the MAC is wrong (live code
@@ -23,12 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto import constant_time_equal
-from repro.crypto.tokens import NonceSource
+from repro.crypto import constant_time_equal, mac, macs
+from repro.crypto.tokens import NonceSource, next_nonces
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.transport import CHALLENGE, InProcessTransport, Message
+
+#: Devices whose expected tags the verifier computes together, just
+#: before they answer: the sponge kernel gains little past 64 packed
+#: states, and 64 tags charge the 256 KiB digest memo about 19 KB.
+PREFETCH_DEVICES = 64
 
 HEALTHY = "healthy"
 COMPROMISED = "compromised"
@@ -105,17 +112,20 @@ class FleetVerifier:
 
     # ------------------------------------------------------------------
 
+    def _expected_pair(self, device_id: int, nonce: bytes, seq: int):
+        """``(key, material)`` of the quote an untampered device must
+        return."""
+        return self._keys[device_id], quote_material(
+            nonce, seq, device_id, self.expected_rows
+        )
+
     def expected_quote(self, device_id: int, nonce: bytes, seq: int) -> bytes:
         """The quote an untampered device must return."""
-        from repro.crypto import mac
+        return mac(*self._expected_pair(device_id, nonce, seq))
 
-        material = quote_material(nonce, seq, device_id, self.expected_rows)
-        return mac(self._keys[device_id], material)
-
-    def _challenge(self, device_id: int) -> _Outstanding:
+    def _challenge(self, device_id: int, nonce: bytes) -> _Outstanding:
         self._seq[device_id] += 1
         seq = self._seq[device_id]
-        nonce = self._nonces[device_id].next_nonce()
         self.transport.send(
             Message(
                 kind=CHALLENGE,
@@ -169,9 +179,10 @@ class FleetVerifier:
         attempts = 0
         while pending and attempts <= self.max_retries:
             attempts += 1
+            nonces = next_nonces([self._nonces[i] for i in pending])
             outstanding = {
-                device_id: self._challenge(device_id)
-                for device_id in pending
+                device_id: self._challenge(device_id, nonce)
+                for device_id, nonce in zip(pending, nonces)
             }
             # Deterministic exponential backoff in *simulated* cycles:
             # attempt k waits timeout_cycles * backoff^(k-1).  With the
@@ -180,12 +191,24 @@ class FleetVerifier:
                 1, int(self.timeout_cycles * self.backoff ** (attempts - 1))
             )
             horizon = self.now + window
-            for device_id in pending:
-                errors = self.devices[device_id].answer(
-                    self.transport, horizon
-                )
-                if errors:
-                    self.metrics.counter("fleet_device_errors").inc(errors)
+            for start in range(0, len(pending), PREFETCH_DEVICES):
+                chunk = pending[start:start + PREFETCH_DEVICES]
+                # The expected tags enter the digest memo together, so
+                # an untampered device's quote and its judgement hit.
+                macs([
+                    self._expected_pair(
+                        i, outstanding[i].nonce, outstanding[i].seq
+                    )
+                    for i in chunk
+                ])
+                for device_id in chunk:
+                    errors = self.devices[device_id].answer(
+                        self.transport, horizon
+                    )
+                    if errors:
+                        self.metrics.counter("fleet_device_errors").inc(
+                            errors
+                        )
             still_pending = []
             for device_id in pending:
                 verdict = self._judge(

@@ -57,7 +57,7 @@ from repro.fleet.parallel import (
 )
 from repro.fleet.service import device_key
 from repro.fleet.transport import InProcessTransport
-from repro.fleet.verifier import FleetVerifier
+from repro.fleet.verifier import COMPROMISED, HEALTHY, FleetVerifier
 from repro.machine.snapcodec import decode_snapshot
 from repro.machine.soc import SRAM_BASE
 from repro.ota.campaign import _tamper_installed, sign_containers
@@ -351,7 +351,12 @@ def test_verifier_rejects_every_mutation(case, golden):
     before the verifier recomputes the expected one.  The verdict must
     be the memo-free one: a device whose measured code changed is
     rejected on both paths through a tag miss, never a hit, and an
-    untouched sibling is accepted through a hit."""
+    untouched sibling is accepted through a hit.
+
+    Then the other direction: a round computes the expected tags
+    before the devices answer.  A changed device's quote misses those
+    tags, equals the memo-free reference and is judged compromised;
+    its untouched sibling's quote is a tag hit."""
     mutate, changes, ota = CASES[case]
     devices = hydrate_devices(golden.blob, KEYS)
     if ota:
@@ -374,6 +379,67 @@ def test_verifier_rejects_every_mutation(case, golden):
     verdict = (True, 1, 0) if untouched else (False, 0, 1)
     assert checks(verifier, expected_rows, device) == [verdict] * 2
     assert checks(verifier, expected_rows, devices[1]) == [(True, 1, 0)] * 2
+    # A round prefetches both expected tags before the devices answer.
+    verifier.devices[0] = device
+    quotes = record_quotes(device, devices[1])
+    with isolated_memo():
+        verdicts = verifier.run_round()
+    assert quotes[0] == ((True, 1, 0) if untouched else (True, 0, 1))
+    assert quotes[1] == (True, 1, 0)
+    assert verdicts[0].status == (HEALTHY if untouched else COMPROMISED)
+    assert verdicts[1].status == HEALTHY
+
+
+def record_quotes(*devices) -> dict:
+    """Wrap each device's ``compute_quote`` to record, per device,
+    whether its quote equals the memo-free reference and the tag hits
+    and misses computing it took."""
+    seen = {}
+    for device in devices:
+        def compute(nonce, seq, device=device,
+                    original=device.compute_quote):
+            before = memo_stats()
+            quote, cycles = original(nonce, seq)
+            tags = memo_stats(since=before)
+            reference = reference_mac(
+                KEYS[device.device_id],
+                quote_material(nonce, seq, device.device_id,
+                               reference_rows(device.platform)),
+            )
+            seen[device.device_id] = (
+                quote == reference, tags["tag_hits"], tags["tag_misses"]
+            )
+            return quote, cycles
+        device.compute_quote = compute
+    return seen
+
+
+def test_quote_batch_verdicts_equal_single_macs(golden):
+    """``verify_quote_batch`` computes its expected tags with one
+    ``macs`` call, cold as in a pool process.  A batch holding a forged
+    quote and a quote over tampered rows gets the verdicts per-item
+    ``mac`` gives."""
+    rows = list(golden.expected_rows)
+    tampered = [(tag, bytes(16)) for tag, _digest in rows]
+    items = []
+    for device_id in range(6):
+        key = device_key(0, device_id)
+        nonce = bytes([device_id]) * 8
+        measured = tampered if device_id == 4 else rows
+        quote = mac(key, quote_material(nonce, 1, device_id, measured))
+        if device_id == 2:
+            quote = bytes([quote[0] ^ 1]) + quote[1:]
+        items.append((device_id, 1, nonce, quote, key))
+    expected = tuple(
+        constant_time_equal(quote, reference_mac(
+            key, quote_material(nonce, seq, device_id, rows)))
+        for device_id, seq, nonce, quote, key in items
+    )
+    with isolated_memo():
+        verdicts = verify_quote_batch(
+            QuoteCheckBatch(0, tuple(rows), tuple(items))
+        )
+    assert verdicts == expected == (True, True, False, True, False, True)
 
 
 # ---------------------------------------------------------------------------
