@@ -12,7 +12,7 @@ an untampered device has just computed) is found
 (:func:`~repro.crypto.sponge.memoized_tag`) without permuting or
 copying.  :func:`macs` computes many tags at once and permutes the
 misses together; every tag is the same as absorbing all of it per
-call.
+call, and :func:`mac`, its one-pair case, skips the batch.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ from repro.crypto.sponge import Batch, memoized_tag, prefixed
 
 def mac(key: bytes, message: bytes) -> bytes:
     """128-bit authentication tag over ``message`` under ``key``."""
-    return macs(((key, message),))[0]
+    tag = memoized_tag(key, message)
+    if tag is not None:
+        return tag
+    # ``bytes + bytes-like`` is a ``bytes`` (``key`` itself if it is
+    # one): a cache key never aliases a caller's buffer.
+    return prefixed(b"" + key).update(message).digest()
 
 
 def macs(pairs) -> list[bytes]:
@@ -35,8 +40,6 @@ def macs(pairs) -> list[bytes]:
         tag = memoized_tag(key, message, batch)
         if tag is None:
             batch = batch or Batch()
-            # ``bytes + bytes-like`` is a ``bytes`` (``key`` itself if
-            # it is one): a cache key never aliases a caller's buffer.
             hasher = prefixed(b"" + key).update(message)
             hashers.append(hasher)
             tag = batch.add(hasher)

@@ -34,22 +34,25 @@ class NonceSource:
         # The seed is absorbed once; each nonce resumes from a copy.
         self._base = SpongeHash().update(self._seed)
 
+    def _next_copy(self) -> SpongeHash:
+        """A copy of the seed hasher with the next counter left
+        unabsorbed."""
+        self._counter += 1
+        return self._base.copy(self._counter.to_bytes(8, "little"))
+
     def next_nonce(self) -> bytes:
         """Fresh 8-byte nonce, never repeated for this source:
         ``H(seed || counter)``."""
-        return next_nonces((self,))[0]
+        return self._next_copy().digest(NONCE_SIZE)
 
 
 def next_nonces(sources) -> list[bytes]:
     """``[source.next_nonce() for source in sources]``, permuted
     together: each copy leaves its counter unabsorbed for
     :func:`~repro.crypto.sponge.finalize_all`."""
-    hashers = []
-    for source in sources:
-        source._counter += 1
-        counter = source._counter.to_bytes(8, "little")
-        hashers.append(source._base.copy(counter))
-    return finalize_all(hashers, NONCE_SIZE)
+    return finalize_all(
+        [source._next_copy() for source in sources], NONCE_SIZE
+    )
 
 
 def session_token(

@@ -14,7 +14,14 @@ The serving pipeline, per simulated tick:
    become challenges (fresh nonce, monotonically increasing per-device
    ``seq``) sent over the transport, where the
    :class:`~repro.fleet.transport.FaultModel` may drop, delay or eat
-   them (storm windows ride on ``FaultModel.partitions``).
+   them (storm windows ride on ``FaultModel.partitions``).  The
+   schedule is known up front, so on reaching an arrival not yet
+   prefetched the service takes the next ``PREFETCH_DEVICES`` arrivals
+   in schedule order, draws their nonces and seqs, and computes the
+   quotes untampered devices must return with one
+   :func:`~repro.crypto.mac.macs` call: those tags enter the sponge's
+   digest memo together, so a healthy device's live quote and the
+   check of it both hit.
 2. **Devices** — each device drains its inbox and answers with a live
    re-measured quote; the quote's cycle cost and both link delays are
    charged in simulated cycles.
@@ -26,9 +33,11 @@ The serving pipeline, per simulated tick:
    A batch's *simulated* completion time is a pure cost model
    (``batch_setup_cycles`` + crypto-engine cycles per absorbed MAC
    word); the *actual* MAC checks run as
-   :func:`repro.fleet.parallel.verify_quote_batch` on a process pool,
-   overlapping wall-clock with the simulation.  Worker count changes
-   how fast the report is produced, never what it says.
+   :func:`repro.fleet.parallel.verify_quote_batch`, inline, or with
+   ``--workers > 1`` on a process pool, overlapping wall-clock with
+   the simulation.  Each check recomputes its expected tag and never
+   reads a prefetched one.  Worker count changes how fast the report
+   is produced, never what it says.
 5. **Observability** — every ``snapshot_every_cycles`` a timeline
    entry (queue depth, outstanding, busy lanes, running totals) is
    recorded and handed to the optional ``on_snapshot`` hook; latency,
@@ -44,11 +53,13 @@ exactly like the batch fleet's :class:`~repro.fleet.parallel.ExecutionPlan`.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
+from repro.crypto import macs
 from repro.crypto.sponge import memo_stats
-from repro.crypto.tokens import NONCE_SIZE, NonceSource
+from repro.crypto.tokens import NONCE_SIZE, NonceSource, next_nonces
 from repro.errors import FleetError
 from repro.fleet.device import FleetDevice, quote_material
 from repro.fleet.executor import (
@@ -77,6 +88,7 @@ from repro.fleet.transport import (
     LinkParameters,
     Message,
 )
+from repro.fleet.verifier import PREFETCH_DEVICES
 from repro.machine.devices.crypto_engine import CYCLES_PER_WORD
 
 SCHEMA = "repro.serve/1"
@@ -285,11 +297,34 @@ class AttestationService:
             self.transport.register(device_id)
         return devices
 
-    def _challenge(self, arrival: Arrival) -> None:
+    def _prefetch(self, arrivals: list[Arrival]) -> list[tuple[bytes, int]]:
+        """Draw each arrival's ``(nonce, seq)`` in schedule order, and
+        compute the quotes untampered devices must return for them in
+        one :func:`~repro.crypto.mac.macs` pass.
+
+        A source repeats as often as its device arrives, so every
+        device sees the nonces and seqs one draw per challenge gives.
+        The tags only warm the digest memo: a check recomputes its own,
+        and a tampered device's live material differs and misses.
+        """
+        device_ids = [arrival.device_id for arrival in arrivals]
+        nonces = next_nonces([self._nonces[i] for i in device_ids])
+        drawn, pairs = [], []
+        for device_id, nonce in zip(device_ids, nonces):
+            self._seq[device_id] += 1
+            seq = self._seq[device_id]
+            drawn.append((nonce, seq))
+            pairs.append((
+                self._keys[device_id],
+                quote_material(
+                    nonce, seq, device_id, self._prepared.expected_rows
+                ),
+            ))
+        macs(pairs)
+        return drawn
+
+    def _challenge(self, arrival: Arrival, nonce: bytes, seq: int) -> None:
         device_id = arrival.device_id
-        self._seq[device_id] += 1
-        seq = self._seq[device_id]
-        nonce = self._nonces[device_id].next_nonce()
         self.transport.send(
             Message(
                 kind=CHALLENGE,
@@ -520,6 +555,7 @@ class AttestationService:
 
         schedule = list(self._schedule)
         next_arrival = 0
+        drawn: deque[tuple[bytes, int]] = deque()
         now = 0
         next_snapshot = config.snapshot_every_cycles
         while True:
@@ -528,7 +564,11 @@ class AttestationService:
                 next_arrival < len(schedule)
                 and schedule[next_arrival].cycle < now_end
             ):
-                self._challenge(schedule[next_arrival])
+                if not drawn:
+                    drawn.extend(self._prefetch(
+                        schedule[next_arrival:next_arrival + PREFETCH_DEVICES]
+                    ))
+                self._challenge(schedule[next_arrival], *drawn.popleft())
                 next_arrival += 1
             self._device_turns(now_end)
             self._admit(now_end)
@@ -633,8 +673,9 @@ class AttestationService:
             "execution": {
                 "workers": self.workers,
                 "recovery": self.recovery.to_dict(),
-                # Devices measure in this process; pooled quote checks
-                # MAC material below the memo threshold.
+                # The prefetch, the devices and inline checks run in
+                # this process; pooled checks run on cold memos whose
+                # counts are not included.
                 "sponge_memo": memo_stats(since=self._memo_before),
             },
         }

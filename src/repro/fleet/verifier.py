@@ -33,8 +33,9 @@ from repro.fleet.metrics import MetricsRegistry
 from repro.fleet.transport import CHALLENGE, InProcessTransport, Message
 
 #: Devices whose expected tags the verifier computes together, just
-#: before they answer: the sponge kernel gains little past 64 packed
-#: states, and 64 tags charge the 256 KiB digest memo about 19 KB.
+#: before they answer (the service's chunk of schedule arrivals, too):
+#: the sponge kernel gains little past 64 packed states, and 64 tags
+#: charge the 256 KiB digest memo about 19 KB.
 PREFETCH_DEVICES = 64
 
 HEALTHY = "healthy"

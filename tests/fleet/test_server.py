@@ -1,5 +1,6 @@
 """Tests for the async attestation service (``repro.fleet.server``)."""
 
+import asyncio
 import json
 import os
 import signal
@@ -7,8 +8,12 @@ import signal
 import pytest
 
 from repro.crypto import mac
+from repro.crypto.sponge import memo_stats
+from repro.crypto.tokens import NonceSource
 from repro.errors import FleetError
+from repro.fleet import server
 from repro.fleet.device import quote_material
+from repro.fleet.loadgen import build_schedule
 from repro.fleet.parallel import QuoteCheckBatch, verify_quote_batch
 from repro.fleet.pool import get_warm_pool
 from repro.fleet.server import (
@@ -18,6 +23,10 @@ from repro.fleet.server import (
     format_serve_report,
     run_service,
 )
+from repro.fleet.transport import CHALLENGE
+from repro.fleet.verifier import PREFETCH_DEVICES
+
+from ..crypto.test_sponge_memo import isolated_memo
 
 
 def small_config(**overrides):
@@ -97,7 +106,7 @@ class TestReportShape:
                              "prefix_hits", "prefix_misses",
                              "tag_hits", "tag_misses"}
         assert memo["hits"] > 0 and memo["prefix_hits"] > 0
-        # The batch check recomputes the tags devices just computed.
+        # Devices and the batch check find the prefetched tags.
         assert memo["tag_hits"] > 0
         json.dumps(report)  # must serialize cleanly
 
@@ -190,6 +199,93 @@ class TestSnapshotHook:
             small_config(), on_snapshot=seen.append
         )
         assert seen == report["timeline"]
+
+
+class TestPrefetch:
+    """The service draws a chunk of its schedule's nonces and seqs at
+    once and computes the expected tags for them before the devices
+    answer."""
+
+    # More arrivals than one prefetch chunk, lost on a lossy link and
+    # in storms, so drawn challenges time out unanswered.
+    CONFIG = ServiceConfig(
+        devices=4, seed=9, compromise=1, duration_cycles=30_000,
+        rate_per_kcycle=3.0, drop_rate=0.1, delay_min=0, delay_max=128,
+        storm_up_mean=4000, storm_down_mean=2000,
+    )
+
+    def test_challenges_equal_one_draw_per_challenge(self):
+        service = AttestationService(self.CONFIG)
+        sent = []
+        send = service.transport.send
+
+        def record(message):
+            if message.kind == CHALLENGE:
+                sent.append(message)
+            send(message)
+
+        service.transport.send = record
+        with isolated_memo():
+            report = asyncio.run(service.run())
+            memo = memo_stats()
+        assert report["load"]["arrivals"] > PREFETCH_DEVICES
+        assert report["load"]["storm_windows"]
+        assert report["service"]["timeouts"] > 0
+        assert report["transport"]["dropped"] > 0
+        assert len(sent) == report["load"]["arrivals"]
+        for device_id in range(self.CONFIG.devices):
+            mine = [m for m in sent if m.device_id == device_id]
+            source = NonceSource(f"serve-nonce:{self.CONFIG.seed}:{device_id}")
+            assert [m.seq for m in mine] == list(range(1, len(mine) + 1))
+            assert [m.nonce for m in mine] == \
+                [source.next_nonce() for _ in mine]
+        # A healthy device's quote and its check both find the
+        # prefetched tag.
+        assert report["service"]["accepted"] > 0
+        assert memo["tag_hits"] >= 2 * report["service"]["accepted"]
+        assert canonical(report) == \
+            canonical(run_service(self.CONFIG, workers=2))
+
+    def test_device_tampered_mid_chunk_is_rejected(self, monkeypatch):
+        config = small_config()
+        schedule = build_schedule(
+            config.profile(), seed=config.seed, devices=config.devices
+        )
+        # One chunk: every challenge's expected tag is computed at the
+        # first arrival, before the tamper.
+        assert len(schedule) <= PREFETCH_DEVICES
+        service = AttestationService(config)
+        victim, sibling = [
+            device_id for device_id, device in sorted(service.devices.items())
+            if not device.tampered_modules
+        ]
+        tampered_after = []
+
+        def tamper(entry):
+            if not tampered_after:
+                assert schedule[0].cycle < entry["cycle"]
+                tampered_after.append(service.devices[victim].last_seq)
+                service.devices[victim].tamper_code()
+
+        checked = []
+
+        def check(batch):
+            verdicts = verify_quote_batch(batch)
+            for item, ok in zip(batch.items, verdicts):
+                checked.append((item[0], item[1], ok))
+            return verdicts
+
+        monkeypatch.setattr(server, "verify_quote_batch", check)
+        service.on_snapshot = tamper
+        report = asyncio.run(service.run())
+        (last_clean_seq,) = tampered_after
+        later = [ok for device_id, seq, ok in checked
+                 if device_id == victim and seq > last_clean_seq]
+        assert later and not any(later)
+        assert all(ok for device_id, _seq, ok in checked
+                   if device_id == sibling)
+        assert any(device_id == sibling for device_id, _seq, _ok in checked)
+        assert report["flagged"]["false_positives"] == [victim]
 
 
 class TestWorkerCrash:
